@@ -54,12 +54,17 @@ let tests () =
      behaviour; the default rate-limits LRU movement memcached-style *)
   let _, _, st_eager = make_store ~bump_interval_s:0 () in
   let lst = make_lockdep_store () in
+  let key = Tls.new_key (fun () -> 0) in
   [ Test.make ~name:"murmur3_32(16B key)"
       (Staged.stage (fun () -> Mc_core.Hash.murmur3_32 "someuserkey12345"));
     Test.make ~name:"pkru read+wrpkru"
       (Staged.stage (fun () ->
          let v = Pku.Pkru.read () in
          Pku.Pkru.wrpkru v));
+    Test.make ~name:"tls get"
+      (Staged.stage (fun () -> Tls.get key));
+    Test.make ~name:"region kernel_mode (empty body)"
+      (Staged.stage (fun () -> Shm.Region.kernel_mode ignore));
     Test.make ~name:"region read_i64 (checked)"
       (Staged.stage (fun () -> Shm.Region.read_i64 reg 4096));
     Test.make ~name:"ralloc alloc+free 64B"

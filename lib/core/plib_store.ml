@@ -614,6 +614,26 @@ module Make (S : Platform.Sync_intf.S) = struct
   let heap_report t =
     Region.kernel_mode (fun () -> Ralloc.render_heap_map t.heap)
 
+  (* Allocate from the shared heap outside the store's own item path.
+     The plain allocation is tried first, so the common case costs
+     nothing extra; on a full heap, room is made the way the store's
+     set path makes it — evict from the LRU cold ends, handing the
+     freed blocks back to their superblocks so an emptied one can serve
+     another class or a large block — and the allocation retried.
+     Raises [Ralloc.Out_of_heap] once nothing is left to evict. *)
+  let alloc_evicting t size =
+    match Ralloc.alloc t.heap size with
+    | off -> off
+    | exception Ralloc.Out_of_heap ->
+      let rec retry hint =
+        if Store.evict_some t.store ~hint = 0 then raise Ralloc.Out_of_heap;
+        Ralloc.flush_thread_cache t.heap;
+        match Ralloc.alloc t.heap size with
+        | off -> off
+        | exception Ralloc.Out_of_heap -> retry (hint + 1)
+      in
+      retry 0
+
   (* ---- Figure 4's copy-in idiom ------------------------------------- *)
 
   (* Copy client-supplied bytes into a library-private Ralloc buffer
@@ -621,7 +641,7 @@ module Make (S : Platform.Sync_intf.S) = struct
      library's stable snapshot. *)
   let copy_in t (buf : bytes) : string =
     let len = Bytes.length buf in
-    let prot = Ralloc.alloc t.heap (max len 16) in
+    let prot = alloc_evicting t (max len 16) in
     Region.blit_from_bytes t.region ~src:buf ~src_off:0 ~dst_off:prot ~len;
     S.advance (CM.memcpy_cost len);
     let snapshot = Region.read_string t.region ~off:prot ~len in
@@ -1151,9 +1171,19 @@ module Make (S : Platform.Sync_intf.S) = struct
       in
       (b + page - 1) / page * page
     in
+    (* A connection whose ring pair finds no room even after eviction
+       is refused: the client's connect fails and the acceptor carries
+       on with the next one. *)
     let rc_alloc cid =
       Region.kernel_mode (fun () ->
-        let block = Ralloc.alloc t.heap ((2 * span) + page) in
+        let block =
+          match alloc_evicting t ((2 * span) + page) with
+          | block -> block
+          | exception Ralloc.Out_of_heap ->
+            Telemetry.Trace.emit ~sev:Telemetry.Trace.Warn ~subsys:"transport"
+              (Printf.sprintf "ring connection %d refused: heap full" cid);
+            raise Remote.T.Refused
+        in
         let sub_base = (block + page - 1) / page * page in
         let comp_base = sub_base + span in
         let sub =

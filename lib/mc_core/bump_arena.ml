@@ -51,6 +51,7 @@ let dir_next = 8 (* pptr: next region in the chain *)
 let dir_block k = 16 + (16 * k) (* (bump_off i64, live i64) for block k *)
 
 type t = {
+  id : int;  (** names this handle in per-thread cursor lists *)
   heap : Ralloc.t;
   reg : Region.t;
   anchor : int option;
@@ -89,10 +90,13 @@ let walk_chain t =
     in
     go (Ralloc.Pptr.load t.reg ~at) 0 []
 
+let next_id = Atomic.make 0
+
 let create ~heap ?anchor () =
   let t =
-    { heap; reg = Ralloc.region heap; anchor; lock = Mutex.create ();
-      regions = []; free_blocks = []; frontier = None;
+    { id = Atomic.fetch_and_add next_id 1; heap; reg = Ralloc.region heap;
+      anchor; lock = Mutex.create (); regions = []; free_blocks = [];
+      frontier = None;
       owned = Hashtbl.create 8; gen = 0 }
   in
   t.regions <- walk_chain t;
@@ -165,13 +169,15 @@ let take_block t =
 type cursor = { mutable cur_block : int; mutable cur_gen : int }
 
 (* Keyed per heap handle: two arenas in one process must not share
-   cursors. Generation-stamped so recovery orphans every cursor. *)
-let cursors : (t * cursor) list ref Tls.key = Tls.new_key (fun () -> ref [])
+   cursors. Keyed by the handle's id, not the handle, so a thread that
+   once allocated from an arena does not keep a discarded heap alive.
+   Generation-stamped so recovery orphans every cursor. *)
+let cursors : (int * cursor) list ref Tls.key = Tls.new_key (fun () -> ref [])
 
 let my_cursor t =
   let l = Tls.get cursors in
-  match List.find_opt (fun (t', _) -> t' == t) !l with
-  | Some (_, c) ->
+  match List.assq_opt t.id !l with
+  | Some c ->
     if c.cur_gen <> t.gen then begin
       c.cur_block <- 0;
       c.cur_gen <- t.gen
@@ -179,7 +185,7 @@ let my_cursor t =
     c
   | None ->
     let c = { cur_block = 0; cur_gen = t.gen } in
-    l := (t, c) :: !l;
+    l := (t.id, c) :: !l;
     c
 
 (* Release the cursor's block back to the pool bookkeeping; recycles

@@ -3,7 +3,8 @@
     32 bits, two per key: bit [2k] is access-disable (AD), bit [2k+1]
     is write-disable (WD), exactly as on Intel hardware. The register
     is thread-local; under the virtual-time machine each {e simulated}
-    thread has its own copy (see {!Tls}).
+    thread has its own copy: the register is a field of the thread's
+    {!Tls} context.
 
     This module is the raw register. The *policy* of who may execute
     [wrpkru] (only Hodor trampolines) is enforced one level up, by the
@@ -22,17 +23,17 @@ let init_value : t =
   done;
   !v
 
+let () = assert (init_value = Tls.init_pkru)
+
 let all_enabled : t = 0
 
-let key = Tls.new_key (fun () -> ref init_value)
-
-let read () : t = !(Tls.get key)
+let read () : t = Tls.pkru (Tls.current ())
 
 let wrpkru (v : t) =
   Telemetry.Counters.incr Telemetry.Counters.Id.pkru_writes;
-  Tls.get key := v land 0xFFFFFFFF
+  Tls.set_pkru (Tls.current ()) (v land 0xFFFFFFFF)
 
-let reset_thread () = Tls.get key := init_value
+let reset_thread () = Tls.set_pkru (Tls.current ()) init_value
 
 let set_perm (v : t) (k : Pkey.t) (p : perm) : t =
   if not (Pkey.is_valid k) then invalid_arg "Pkru.set_perm";

@@ -111,8 +111,20 @@ type t = {
 
 (* Runtime state must be shared by every handle attached to the same
    region: the class locks model PTHREAD_PROCESS_SHARED locks living in
-   the shared segment. *)
-let runtimes : (Region.t * t) list ref = ref []
+   the shared segment. The registry holds regions weakly (an ephemeron
+   per region): a region something still references keeps its
+   runtime, and a discarded heap — region and runtime alike — is
+   collectable. Keys hash by name (immutable; heaps may share one) and
+   match physically. *)
+module Registry = Ephemeron.K1.Make (struct
+  type t = Region.t
+
+  let equal = ( == )
+
+  let hash r = Hashtbl.hash (Region.name r)
+end)
+
+let runtimes : t Registry.t = Registry.create 8
 
 let runtimes_lock = Mutex.create ()
 
@@ -120,15 +132,15 @@ let next_heap_id = Atomic.make 1
 
 let find_runtime reg =
   Mutex.lock runtimes_lock;
-  let r = List.find_opt (fun (r, _) -> r == reg) !runtimes in
+  let r = Registry.find_opt runtimes reg in
   Mutex.unlock runtimes_lock;
-  Option.map snd r
+  r
 
 let new_runtime reg =
   Mutex.lock runtimes_lock;
   let t =
-    match List.find_opt (fun (r, _) -> r == reg) !runtimes with
-    | Some (_, t) -> t
+    match Registry.find_opt runtimes reg with
+    | Some t -> t
     | None ->
       let t =
         { reg; heap_id = Atomic.fetch_and_add next_heap_id 1;
@@ -136,7 +148,7 @@ let new_runtime reg =
           sb_lock = Mutex.create (); used = Atomic.make 0; poison = None;
           gen = 0 }
       in
-      runtimes := (reg, t) :: !runtimes;
+      Registry.replace runtimes reg t;
       t
   in
   Mutex.unlock runtimes_lock;
@@ -224,11 +236,8 @@ let poison_clear t ~off ~len = unpoison_alloc t off len
 
 let poison_guard reg ~off ~len =
   if Atomic.get n_poisoning > 0 then
-    (* Racy read of the runtimes list is fine: it is an immutable list
-       behind a ref, and a stale snapshot only delays detection for a
-       heap registered concurrently with this access. *)
-    match List.find_opt (fun (r, _) -> r == reg) !runtimes with
-    | Some (_, { poison = Some bm; _ }) ->
+    match find_runtime reg with
+    | Some { poison = Some bm; _ } ->
       let g1 = (off + max len 1 - 1) / 8 in
       for g = off / 8 to g1 do
         if Bytes.get_uint8 bm (g / 8) land (1 lsl (g mod 8)) <> 0 then

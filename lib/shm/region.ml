@@ -35,16 +35,28 @@ type t = {
 
 (* Bookkeeping code (the loader, the background process's setup, the
    persistence paths) runs as the "kernel side" and bypasses pkru
-   checks, as ring-0 code does on real hardware. *)
-let kernel_flag : bool ref Tls.key = Tls.new_key (fun () -> ref false)
+   checks, as ring-0 code does on real hardware.
 
+   The flag is a field of the thread's {!Tls} context; [kernel_mode]
+   runs on every shared-heap counter bump and flight crumb, so it
+   restores the flag with a plain handler rather than [Fun.protect]'s
+   closures. A sync point inside [f] may switch threads: the flag
+   stays with this thread's context. *)
 let kernel_mode f =
-  let flag = Tls.get kernel_flag in
-  let saved = !flag in
-  flag := true;
-  Fun.protect ~finally:(fun () -> flag := saved) f
+  let c = Tls.current () in
+  if Tls.kernel c then f ()
+  else begin
+    Tls.set_kernel c true;
+    match f () with
+    | v ->
+      Tls.set_kernel c false;
+      v
+    | exception e ->
+      Tls.set_kernel c false;
+      raise e
+  end
 
-let in_kernel_mode () = !(Tls.get kernel_flag)
+let in_kernel_mode () = Tls.kernel (Tls.current ())
 
 let create ?(atomic_slots = 8192) ~name ~size ~pkey () =
   if size <= 0 then invalid_arg "Region.create: size";
@@ -106,8 +118,9 @@ let check t ~off ~len ~write =
   if off < 0 || len < 0 || off + len > Bytes.length t.data then
     invalid_arg
       (Printf.sprintf "Region %s: access [%d,+%d) out of bounds" t.name off len);
-  if not (in_kernel_mode ()) then begin
-    let pkru = Pku.Pkru.read () in
+  let c = Tls.current () in
+  if not (Tls.kernel c) then begin
+    let pkru = Tls.pkru c in
     let first = off / page_size and last = (off + len - 1) / page_size in
     if first = last then begin
       let key = t.page_pkeys.(first) in

@@ -176,7 +176,7 @@ let install_backend b = backend := b
 
 let reset_backend () = backend := local_backend ()
 
-(* Stripe assignment: round-robin at first use, held in (pluggable)
+(* Stripe assignment: round-robin at first use, held in per-thread
    TLS so each simulated thread under the Vm gets its own stripe. *)
 let next_stripe = Atomic.make 0
 

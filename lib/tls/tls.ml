@@ -1,4 +1,16 @@
-type table = (int, Obj.t) Hashtbl.t
+(* Linux's initial pkru: every key but key 0 access-disabled (AD bit
+   2k set for k = 1..15). {!Pku.Pkru} owns the register's meaning and
+   checks at start-up that this constant matches its own. *)
+let init_pkru = 0x55555554
+
+type ctx = {
+  mutable pkru : int;
+  mutable kernel : bool;
+  mutable slots : Obj.t array;
+  host : int;
+  (* [Thread.id] of the OS thread owning this context, or -1 for a
+     context some scheduler switches in ({!fresh}) *)
+}
 
 type 'a key = { id : int; init : unit -> 'a }
 
@@ -6,51 +18,98 @@ let next_key_id = Atomic.make 0
 
 let new_key init = { id = Atomic.fetch_and_add next_key_id 1; init }
 
-(* Default provider: one table per OS thread. Thread ids can be reused
-   after a thread exits; a recycled id simply inherits a stale table,
-   which is indistinguishable from a fresh one once every key's [init]
-   is idempotent (they all are: keys hold no cross-thread state). *)
-let default_tables : (int, table) Hashtbl.t = Hashtbl.create 64
+(* Marks a slot no [get] has initialised yet (or that was cleared). *)
+let unset : Obj.t = Obj.repr (ref ())
 
-let default_tables_lock = Mutex.create ()
+let make ~host =
+  { pkru = init_pkru; kernel = false;
+    slots = Array.make (max 8 (Atomic.get next_key_id)) unset; host }
 
-let default_provider () =
-  let tid = Thread.id (Thread.self ()) in
-  Mutex.lock default_tables_lock;
-  let tbl =
-    match Hashtbl.find_opt default_tables tid with
-    | Some t -> t
+let fresh () = make ~host:(-1)
+
+(* ---- Real OS threads --------------------------------------------------
+
+   One context per OS thread, keyed by [Thread.id]. OCaml never reuses a
+   thread id, so a context is never inherited; a dead thread's context
+   simply stays in the table, as small as the keys it touched. The
+   table is consulted only when the current pointer belongs to another
+   OS thread, i.e. on a thread switch outside any scheduler. *)
+let host_ctxs : (int, ctx) Hashtbl.t = Hashtbl.create 16
+
+let host_lock = Mutex.create ()
+
+let self_id () = Thread.id (Thread.self ())
+
+let cur = ref (make ~host:(self_id ()))
+
+let () = Hashtbl.replace host_ctxs !cur.host !cur
+
+let host_ctx tid =
+  Mutex.lock host_lock;
+  let c =
+    match Hashtbl.find_opt host_ctxs tid with
+    | Some c -> c
     | None ->
-      let t = Hashtbl.create 8 in
-      Hashtbl.add default_tables tid t;
-      t
+      let c = make ~host:tid in
+      Hashtbl.replace host_ctxs tid c;
+      c
   in
-  Mutex.unlock default_tables_lock;
-  tbl
+  Mutex.unlock host_lock;
+  cur := c;
+  c
 
-let provider : (unit -> table) option ref = ref None
+let[@inline] current () =
+  let c = !cur in
+  if c.host < 0 then c
+  else
+    let tid = self_id () in
+    if c.host = tid then c else host_ctx tid
 
-let current_table () =
-  match !provider with Some p -> p () | None -> default_provider ()
+let switch c =
+  let prev = current () in
+  if prev != c then cur := c;
+  prev
 
-let fresh_table () : table = Hashtbl.create 8
+(* ---- Hot fields --------------------------------------------------------- *)
 
-let install_provider p = provider := Some p
+let pkru c = c.pkru
 
-let remove_provider () = provider := None
+let set_pkru c v = c.pkru <- v
 
-let provider_installed () = Option.is_some !provider
+let kernel c = c.kernel
+
+let set_kernel c b = c.kernel <- b
+
+(* ---- Typed slots -------------------------------------------------------- *)
+
+let store c k v =
+  let s = c.slots in
+  let s =
+    if k.id < Array.length s then s
+    else begin
+      let s' = Array.make (max (k.id + 1) (2 * Array.length s)) unset in
+      Array.blit s 0 s' 0 (Array.length s);
+      c.slots <- s';
+      s'
+    end
+  in
+  Array.unsafe_set s k.id (Obj.repr v)
 
 let get (k : 'a key) : 'a =
-  let tbl = current_table () in
-  match Hashtbl.find_opt tbl k.id with
-  | Some v -> (Obj.obj v : 'a)
-  | None ->
+  let c = current () in
+  let s = c.slots in
+  let v = if k.id < Array.length s then Array.unsafe_get s k.id else unset in
+  if v != unset then (Obj.obj v : 'a)
+  else begin
+    (* [init] may itself touch other keys (growing [c.slots]) or reach
+       a sync point; the value belongs to [c] either way *)
     let v = k.init () in
-    Hashtbl.replace tbl k.id (Obj.repr v);
+    store c k v;
     v
+  end
 
-let set (k : 'a key) (v : 'a) =
-  Hashtbl.replace (current_table ()) k.id (Obj.repr v)
+let set k v = store (current ()) k v
 
-let clear (k : 'a key) = Hashtbl.remove (current_table ()) k.id
+let clear k =
+  let s = (current ()).slots in
+  if k.id < Array.length s then Array.unsafe_set s k.id unset

@@ -71,6 +71,10 @@ module Make (S : Platform.Sync_intf.S) = struct
 
   exception Connection_closed
 
+  exception Refused
+  (** Raised by an {!accept} [register] hook to turn one connection
+      away: the client's {!connect} fails, the listener stays open. *)
+
   (* --- listener registry (a simulated abstract-socket namespace) --- *)
 
   let scoped name = S.name ^ ":" ^ name
@@ -116,17 +120,23 @@ module Make (S : Platform.Sync_intf.S) = struct
   (* Server side: accept the oldest pending connect and bind it to
      [inbox] (the chosen worker's event queue). [register] runs before
      the client is released, so server-side connection tables are
-     populated before the first request can arrive. *)
-  let accept ?(register = fun (_ : conn) -> ()) l ~inbox =
+     populated before the first request can arrive. A connection
+     [register] refuses is closed on the client and the next pending
+     connect is accepted instead. *)
+  let rec accept ?(register = fun (_ : conn) -> ()) l ~inbox =
     let resolve = S.recv l.backlog in
     S.advance CM.current.syscall_recv (* accept() *);
     let conn =
       { cid = Atomic.fetch_and_add next_cid 1; inbox; reply = S.chan ();
         rings = None }
     in
-    register conn;
-    resolve (Some conn);
-    conn
+    match register conn with
+    | () ->
+      resolve (Some conn);
+      conn
+    | exception Refused ->
+      resolve None;
+      accept ~register l ~inbox
 
   (* --- ring attachment ------------------------------------------------ *)
 

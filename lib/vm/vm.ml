@@ -28,7 +28,7 @@ type state = Runnable | Blocked | Finished
 type vthread = {
   tid : int;
   vname : string;
-  table : Tls.table;
+  ctx : Tls.ctx;  (* this thread's per-thread state; see [set_current] *)
   mutable clock : int;
   mutable state : state;
   mutable join_waiters : (int -> unit) list;
@@ -241,10 +241,17 @@ let new_thread t name =
   let vname =
     match name with Some n -> n | None -> Printf.sprintf "vthread-%d" tid
   in
-  { tid; vname; table = Tls.fresh_table (); clock = 0; state = Runnable;
+  { tid; vname; ctx = Tls.fresh (); clock = 0; state = Runnable;
     join_waiters = []; held = [] }
 
-let set_current t th = t.current <- Some th
+(* Every event that resumes a thread goes through here, so the TLS
+   pointer always names the running vthread's context — including
+   while the scheduler itself runs between events, when it still names
+   the thread that ran last (the crash path relies on this: a dying
+   thread's lane and spans resolve through it). *)
+let set_current t th =
+  t.current <- Some th;
+  ignore (Tls.switch th.ctx)
 
 let finish t th err =
   th.state <- Finished;
@@ -594,9 +601,13 @@ let blocked_names t =
 let run ?(raise_on_failure = true) t =
   if t.running then invalid_arg "Vm.run: already running";
   t.running <- true;
-  let fallback = Tls.fresh_table () in
-  Tls.install_provider (fun () ->
-    match t.current with Some th -> th.table | None -> fallback);
+  (* Until the first event runs, code on this OS thread sees the last
+     vthread of a previous run, or a scratch context; the outer context
+     comes back however the run ends. *)
+  let outer =
+    Tls.switch
+      (match t.current with Some th -> th.ctx | None -> Tls.fresh ())
+  in
   (* While the simulation runs, telemetry events are stamped with the
      running virtual thread's clock. *)
   let prev_now =
@@ -618,7 +629,7 @@ let run ?(raise_on_failure = true) t =
     ~finally:(fun () ->
       Telemetry.Control.restore_sync prev_sync;
       Telemetry.Control.restore_now prev_now;
-      Tls.remove_provider ();
+      ignore (Tls.switch outer);
       t.running <- false)
     (fun () ->
       let rec loop () =

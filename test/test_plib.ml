@@ -374,6 +374,103 @@ let test_position_independence_across_mappings () =
       | Some r -> Alcotest.(check string) "data" "still-here" r.Store.value
       | None -> Alcotest.fail "anchor lost")
 
+(* ---- Full heap ---------------------------------------------------------- *)
+
+let evictions p = int_of_string (List.assoc "evictions" (Plib.stats p))
+
+(* Fill the heap with cached items until the store has had to evict:
+   every superblock then belongs to the items' size class. *)
+let fill_until_evicting ~set ~evictions =
+  let i = ref 0 in
+  while evictions () = 0 do
+    incr i;
+    ignore (set (Printf.sprintf "fill%d" !i) (String.make 800 'f'))
+  done
+
+(* Copy-in allocates outside the store's item path. On a full heap a
+   key of a size class nothing else uses finds no free block anywhere:
+   the copy must make room by evicting, not raise (which would poison
+   the library). *)
+let test_copy_in_evicts_on_full_heap () =
+  with_plib (fun p ~owner:_ ->
+    fill_until_evicting ~set:(Plib.set p) ~evictions:(fun () -> evictions p);
+    let key = String.make 200 'k' in
+    Alcotest.(check bool) "get of a new key is a miss" true
+      (Plib.get p key = None);
+    Alcotest.(check bool) "set of a new key stored" true
+      (Plib.set p key "v" = Store.Stored);
+    (match Plib.get p key with
+     | Some r -> Alcotest.(check string) "read back" "v" r.Store.value
+     | None -> Alcotest.fail "stored key missing");
+    Alcotest.(check bool) "library healthy" true
+      (Hodor.Library.health (Plib.library p) = Hodor.Library.Healthy);
+    check_inv p)
+
+module VCl = Core.Client.Make (Vm.Sync)
+
+let with_vm_plib name f =
+  let owner = Process.make ~uid:1000 ("bk-" ^ name) in
+  let path = "/shm/plib-" ^ name in
+  let plib = VCl.Plib.create ~path ~size:(16 lsl 20) ~owner () in
+  Fun.protect
+    ~finally:(fun () ->
+      Simos.Sim_fs.unlink path;
+      Hodor.Library.release (VCl.Plib.library plib))
+    (fun () ->
+      let vm = Vm.create () in
+      ignore (Vm.spawn vm ~name:"main" (fun () -> f plib));
+      Vm.run vm;
+      Shm.Region.kernel_mode (fun () ->
+        VCl.Plib.Store.check_invariants (VCl.Plib.store plib)))
+
+let rings = Mc_server.Server.default_ring_config
+
+let ring_roundtrip conn key =
+  assert (VCl.Sock.set conn key "late" = Store.Stored);
+  match VCl.Sock.get conn key with
+  | Some r ->
+    Alcotest.(check string) "late client reads back" "late" r.Store.value
+  | None -> Alcotest.fail "late client lost its write"
+
+(* A ring connection arriving once cached items fill the heap: its ring
+   pair is placed by evicting, like any other allocation. *)
+let test_late_ring_connect_on_full_heap () =
+  with_vm_plib "late-ring" (fun plib ->
+    let srv = VCl.Plib.serve_remote ~rings plib ~name:"late-ring" in
+    let early = Array.init 2 (fun _ -> VCl.Sock.connect ~name:"late-ring" ()) in
+    fill_until_evicting ~set:(VCl.Sock.set early.(0))
+      ~evictions:(fun () ->
+        int_of_string (List.assoc "evictions" (VCl.Plib.stats plib)));
+    let late = VCl.Sock.connect ~name:"late-ring" () in
+    ring_roundtrip late "late-key";
+    ring_roundtrip early.(1) "early-key";
+    VCl.Plib.stop_remote srv)
+
+(* With the heap held by allocations the store cannot evict, the ring
+   pair cannot be placed: that one connection is refused, the client
+   sees the refusal, and the acceptor lives on to serve the next. *)
+let test_ring_connect_refused_acceptor_survives () =
+  with_vm_plib "refuse-ring" (fun plib ->
+    let heap = VCl.Plib.heap plib in
+    let srv = VCl.Plib.serve_remote ~rings plib ~name:"refuse-ring" in
+    let hog = ref [] in
+    Shm.Region.kernel_mode (fun () ->
+      try
+        while true do
+          hog := Ralloc.alloc heap (Ralloc.superblock_size / 2) :: !hog
+        done
+      with Ralloc.Out_of_heap -> ());
+    (match VCl.Sock.connect ~name:"refuse-ring" () with
+     | _ -> Alcotest.fail "connect on an exhausted heap should be refused"
+     | exception Failure m ->
+       Alcotest.(check string) "client sees the refusal"
+         "connect: refuse-ring refused the connection" m);
+    Shm.Region.kernel_mode (fun () ->
+      List.iter (Ralloc.free heap) !hog);
+    let next = VCl.Sock.connect ~name:"refuse-ring" () in
+    ring_roundtrip next "after-refusal";
+    VCl.Plib.stop_remote srv)
+
 let () =
   Alcotest.run "plib"
     [ ( "operation",
@@ -399,6 +496,13 @@ let () =
             test_shutdown_restart_preserves_data;
           Alcotest.test_case "cleaner watermark" `Quick
             test_maintain_enforces_watermark ] );
+      ( "full heap",
+        [ Alcotest.test_case "copy-in evicts" `Quick
+            test_copy_in_evicts_on_full_heap;
+          Alcotest.test_case "late ring connect" `Quick
+            test_late_ring_connect_on_full_heap;
+          Alcotest.test_case "ring connect refused, acceptor survives" `Quick
+            test_ring_connect_refused_acceptor_survives ] );
       ( "fault injection & PI",
         [ Alcotest.test_case "vm fault injection deterministic" `Quick
             test_vm_fault_injection_deterministic;

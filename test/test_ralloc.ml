@@ -345,6 +345,32 @@ let qcheck_pptr_position_independent =
       Region.read_i64 reg cell = target - cell
       && Ralloc.Pptr.load reg ~at:cell = target)
 
+(* The runtime registry holds regions weakly: heaps nobody references
+   any more are collected with their runtime state, while a live heap
+   keeps its runtime (a re-attach still shares it). Allocating through
+   a bump arena leaves a per-thread cursor behind, which must not pin
+   the heap either. *)
+let[@inline never] make_and_drop_heaps n ~collected =
+  for _ = 1 to n do
+    let reg, h = fresh ~size:(4 lsl 20) () in
+    Gc.finalise (fun _ -> incr collected) reg;
+    Region.kernel_mode (fun () ->
+      Ralloc.free h (Ralloc.alloc h 64);
+      let arena = Mc_core.Bump_arena.create ~heap:h () in
+      let off = Mc_core.Bump_arena.alloc arena 64 in
+      Alcotest.(check bool) "arena allocated" true (off <> 0);
+      Mc_core.Bump_arena.free arena off)
+  done
+
+let test_registry_releases_dropped_heaps () =
+  let kept_reg, kept = fresh ~size:(1 lsl 20) () in
+  let collected = ref 0 in
+  make_and_drop_heaps 4 ~collected;
+  Gc.full_major ();
+  Alcotest.(check int) "dropped heaps were collected" 4 !collected;
+  Alcotest.(check bool) "the live heap kept its runtime" true
+    (Ralloc.attach kept_reg == kept)
+
 let () =
   Alcotest.run "ralloc"
     [ ( "classes",
@@ -368,6 +394,8 @@ let () =
             test_exact_superblock_boundary_sizes;
           Alcotest.test_case "two heaps independent" `Quick
             test_two_heaps_independent;
+          Alcotest.test_case "registry releases dropped heaps" `Quick
+            test_registry_releases_dropped_heaps;
           Alcotest.test_case "attach shares runtime" `Quick
             test_attach_returns_shared_runtime;
           Alcotest.test_case "root overwrite" `Quick test_root_overwrite;

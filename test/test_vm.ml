@@ -333,6 +333,138 @@ let qcheck_chan_preserves_content =
       Vm.run vm;
       List.rev !got = xs)
 
+(* ---- Per-thread context ----------------------------------------------- *)
+
+(* Each vthread's slots and pkru survive every kind of switch — yield,
+   spawn, join, a plain clock advance — and a peer killed at a crash
+   point leaves the survivors' state alone. *)
+let test_ctx_survives_switches_and_kill () =
+  let key = Tls.new_key (fun () -> ref "") in
+  let bad = ref [] in
+  let reg who = Hashtbl.hash who land 0xFFFF in
+  let claim who =
+    Tls.get key := who;
+    Pku.Pkru.wrpkru (reg who)
+  in
+  let check who where =
+    if !(Tls.get key) <> who || Pku.Pkru.read () <> reg who then
+      bad := Printf.sprintf "%s %s" who where :: !bad
+  in
+  let vm = Vm.create () in
+  Vm.set_crash_point vm ~filter:(fun n -> n = "victim") ~at:1 ();
+  ignore (Vm.spawn vm ~name:"main" (fun () ->
+    claim "main";
+    let victim =
+      S.spawn ~name:"victim" (fun () ->
+        claim "victim";
+        for i = 1 to 3 do
+          check "victim" (Printf.sprintf "before sync %d" i);
+          S.yield ()
+        done;
+        bad := "victim outlived its kill" :: !bad)
+    in
+    check "main" "after spawn";
+    let child =
+      S.spawn ~name:"child" (fun () ->
+        if !(Tls.get key) <> "" then bad := "child inherited a slot" :: !bad;
+        if Pku.Pkru.read () <> Pku.Pkru.init_value then
+          bad := "child inherited a pkru" :: !bad;
+        claim "child";
+        S.yield ();
+        check "child" "after yield";
+        S.advance 10;
+        check "child" "after advance")
+    in
+    S.yield ();
+    check "main" "after yield";
+    S.join child;
+    check "main" "after join";
+    S.join victim;
+    check "main" "after the victim's kill"));
+  Vm.run vm;
+  Alcotest.(check (list string)) "each thread saw only its own state" [] !bad;
+  Alcotest.(check (list (pair string int))) "victim killed at its 2nd sync"
+    [ ("victim", 1) ] (Vm.crashed vm)
+
+(* Whatever the run does and however it ends, the code that called
+   [Vm.run] gets its own context back: slots, pkru and pointer. *)
+let test_outer_ctx_restored () =
+  let key = Tls.new_key (fun () -> 0) in
+  Tls.set key 7;
+  let outer = Tls.current () and pkru = Pku.Pkru.read () in
+  let check what =
+    Alcotest.(check bool) (what ^ ": outer context current") true
+      (Tls.current () == outer);
+    Alcotest.(check int) (what ^ ": outer slot") 7 (Tls.get key);
+    Alcotest.(check int) (what ^ ": outer pkru") pkru (Pku.Pkru.read ())
+  in
+  let touch () =
+    Tls.set key 99;
+    Pku.Pkru.wrpkru 0
+  in
+  let vm = Vm.create () in
+  ignore (Vm.spawn vm (fun () -> touch ()));
+  Vm.run vm;
+  check "after a run";
+  ignore (Vm.spawn vm (fun () ->
+    if Tls.get key <> 0 then failwith "second run saw a stale slot";
+    touch ()));
+  Vm.run vm;
+  check "after a second run on the same vm";
+  let vm = Vm.create () in
+  ignore (Vm.spawn vm ~name:"boom" (fun () ->
+    touch ();
+    failwith "bang"));
+  (match Vm.run vm with
+   | () -> Alcotest.fail "expected a thread failure"
+   | exception Vm.Thread_failure ("boom", _) -> ());
+  check "after a thread failure";
+  let vm = Vm.create () in
+  ignore (Vm.spawn vm (fun () ->
+    touch ();
+    ignore (S.recv (S.chan ()))));
+  (match Vm.run vm with
+   | () -> Alcotest.fail "expected a deadlock"
+   | exception Vm.Deadlock _ -> ());
+  check "after a deadlock"
+
+(* The kernel-mode flag belongs to the thread that set it: a sync point
+   inside [kernel_mode] hands the CPU to peers that stay unprivileged,
+   and the flag is restored whether the body returns or raises. *)
+let test_kernel_mode_across_sync_points () =
+  let seen = ref [] in
+  let note what = seen := (what, Shm.Region.in_kernel_mode ()) :: !seen in
+  let vm = Vm.create () in
+  Vm.set_crash_point vm ~filter:(fun n -> n = "victim") ~at:0 ();
+  ignore (Vm.spawn vm ~name:"kernel" (fun () ->
+    Shm.Region.kernel_mode (fun () ->
+      S.sleep_ns 100;
+      note "kernel, inside after sleeping");
+    note "kernel, after return";
+    (try
+       Shm.Region.kernel_mode (fun () ->
+         S.yield ();
+         failwith "raised")
+     with Failure _ -> ());
+    note "kernel, after raise";
+    S.sleep_ns 100;
+    note "kernel, after the victim's kill"));
+  ignore (Vm.spawn vm ~name:"peer" (fun () ->
+    S.sleep_ns 50;
+    note "peer, while kernel sleeps"));
+  ignore (Vm.spawn vm ~name:"victim" (fun () ->
+    (* killed at its first sync point, inside kernel mode *)
+    Shm.Region.kernel_mode (fun () -> S.yield ())));
+  Vm.run vm;
+  Alcotest.(check (list (pair string bool))) "flag per thread"
+    [ ("peer, while kernel sleeps", false);
+      ("kernel, inside after sleeping", true);
+      ("kernel, after return", false);
+      ("kernel, after raise", false);
+      ("kernel, after the victim's kill", false) ]
+    (List.rev !seen);
+  Alcotest.(check int) "victim killed" 1 (List.length (Vm.crashed vm))
+
 let () =
   Alcotest.run "vm"
     [ ( "scheduler",
@@ -360,6 +492,12 @@ let () =
           Alcotest.test_case "dilation beyond capacity" `Quick
             test_dilation_beyond_capacity;
           Alcotest.test_case "tls per vthread" `Quick test_tls_per_vthread;
+          Alcotest.test_case "context survives switches and kill" `Quick
+            test_ctx_survives_switches_and_kill;
+          Alcotest.test_case "outer context restored" `Quick
+            test_outer_ctx_restored;
+          Alcotest.test_case "kernel mode across sync points" `Quick
+            test_kernel_mode_across_sync_points;
           Alcotest.test_case "mean runnable" `Quick
             test_mean_runnable_tracks_load ] );
       ( "edge cases",
