@@ -9,7 +9,7 @@
       dune exec bench/main.exe -- --json out.json # machine-readable results
 
     Experiments: fig5 fig6 fig7 fig8 fig9 nullcall ablations complexity
-    micro stats rings.
+    micro overhead stats rings.
 
     Every experiment also reports its headline numbers to the shared
     recorder; [--json PATH] (or BENCH_JSON=PATH) flushes them as a JSON
@@ -17,7 +17,7 @@
     artifact CI uploads. *)
 
 let all = [ "fig5"; "fig6"; "fig7"; "fig8"; "fig9"; "nullcall"; "ablations";
-            "complexity"; "micro"; "stats"; "rings" ]
+            "complexity"; "micro"; "overhead"; "stats"; "rings" ]
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
@@ -57,6 +57,7 @@ let () =
   if want "ablations" then Ablations.run ();
   if want "complexity" then Complexity.run ();
   if want "micro" then Micro.run ();
+  if want "overhead" then Micro.overhead ();
   if want "stats" then Stats.run ~ops:(ops / 4) ();
   if want "rings" then Rings.run ~ops:(ops / 2) ();
   match json_path with

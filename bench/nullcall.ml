@@ -8,6 +8,8 @@ module T = Transport.Sock.Make (Vm.Sync)
 
 let iters = 2000
 
+let null_phase = Telemetry.Span.phase "null"
+
 let empty_hodor ~protection () =
   let lib =
     Hodor.Library.create ~protection ~name:"null" ~owner_uid:0 ()
@@ -19,7 +21,7 @@ let empty_hodor ~protection () =
       for _ = 1 to iters do
         (* Each call is its own trace root so the CI tracer-overhead
            gate exercises the full mint/attribute path per iteration. *)
-        let root = Telemetry.Span.ingress ~op:"null" () in
+        let root = Telemetry.Span.ingress null_phase in
         Hodor.Trampoline.call lib (fun () -> ());
         Telemetry.Span.finish root
       done;

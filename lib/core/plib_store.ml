@@ -119,70 +119,65 @@ module Make (S : Platform.Sync_intf.S) = struct
        whichever substrate this instance runs on. *)
     Hodor.Runtime.configure ~advance:S.advance ~now:S.now_ns
 
-  (* Find (restart) or allocate (first boot) the shared-heap telemetry
-     block and point the process-wide counter store at it. Counter
-     bumps are host-side bookkeeping: they run in kernel mode (a bump
-     can happen before the trampoline has opened the pkru — e.g. the
-     [hodor_enter] count itself) and charge no virtual time. The Vm
-     schedules cooperatively at sync points only, so the read-modify-
-     write below is atomic within a simulation. *)
-  let attach_telemetry ~region ~heap =
-    Region.kernel_mode (fun () ->
-      let block =
-        match Ralloc.get_root heap root_telemetry with
-        | 0 ->
-          let block = Ralloc.alloc heap (8 * Telemetry.Counters.cells) in
-          Region.fill region ~off:block ~len:(8 * Telemetry.Counters.cells)
-            '\000';
-          Ralloc.set_root heap root_telemetry block;
-          block
-        | block -> block
-      in
-      Telemetry.Counters.install_backend
-        { add =
-            (fun cell d ->
-              Region.kernel_mode (fun () ->
-                let at = block + (8 * cell) in
-                Region.write_i64 region at (Region.read_i64 region at + d)));
-          read =
-            (fun cell ->
-              Region.kernel_mode (fun () ->
-                Region.read_i64 region (block + (8 * cell))));
-          zero =
-            (fun () ->
-              Region.kernel_mode (fun () ->
-                Region.fill region ~off:block
-                  ~len:(8 * Telemetry.Counters.cells) '\000')) })
+  (* Point a process-wide hook at [v] and return its detach: put
+     [default] back unless someone has since installed their own. *)
+  let hook r v ~default =
+    r := v;
+    fun () -> if !r == v then r := default
 
-  (* Find (restart) or allocate (first boot) the flight-recorder block
-     and point the process-wide recorder at it. Like the counter block,
-     breadcrumb writes are host-side bookkeeping running in kernel mode
-     (a crumb can land inside the trampoline before the pkru is open)
-     and charge no virtual time; the publish-last stamping inside
-     [Telemetry.Flight] is what makes a mid-write kill leave no torn
-     record. On re-attach the existing breadcrumbs are preserved — they
-     are exactly the forensic evidence of the previous life. *)
-  let attach_flight ~region ~heap =
+  (* Find (restart) or allocate (first boot) the heap block rooted at
+     [root], [bytes] long and zero-filled when new. *)
+  let rooted_block ~region ~heap ~root ~bytes =
     Region.kernel_mode (fun () ->
-      let block =
-        match Ralloc.get_root heap root_flight with
-        | 0 ->
-          let block = Ralloc.alloc heap Telemetry.Flight.bytes in
-          Region.fill region ~off:block ~len:Telemetry.Flight.bytes '\000';
-          Ralloc.set_root heap root_flight block;
-          block
-        | block -> block
-      in
-      Telemetry.Flight.install_backend
-        { Telemetry.Flight.read =
-            (fun w ->
-              Region.kernel_mode (fun () ->
-                Region.read_i64 region (block + (8 * w))));
-          write =
-            (fun w v ->
-              Region.kernel_mode (fun () ->
-                Region.write_i64 region (block + (8 * w)) v)) };
-      Telemetry.Flight.ensure_formatted ())
+      match Ralloc.get_root heap root with
+      | 0 ->
+        let block = Ralloc.alloc heap bytes in
+        Region.fill region ~off:block ~len:bytes '\000';
+        Ralloc.set_root heap root block;
+        block
+      | block -> block)
+
+  (* Point the process-wide counter store at the shared-heap telemetry
+     block. Counter bumps are host-side bookkeeping: they write the
+     heap word kernel side (a bump can happen before the trampoline has
+     opened the pkru — e.g. the [hodor_enter] count itself) and charge
+     no virtual time. The Vm schedules cooperatively at sync points
+     only, so the read-modify-write is atomic within a simulation. *)
+  let attach_telemetry ~region ~heap =
+    let bytes = 8 * Telemetry.Counters.cells in
+    let block = rooted_block ~region ~heap ~root:root_telemetry ~bytes in
+    let b =
+      { Telemetry.Counters.add =
+          (fun cell d -> Region.kernel_add_i64 region (block + (8 * cell)) d);
+        read = (fun cell -> Region.kernel_read_i64 region (block + (8 * cell)));
+        zero =
+          (fun () ->
+            Region.kernel_mode (fun () ->
+              Region.fill region ~off:block ~len:bytes '\000')) }
+    in
+    Telemetry.Counters.install_backend b;
+    fun () -> Telemetry.Counters.detach_backend b
+
+  (* Point the process-wide recorder at the flight-recorder block. Like
+     the counter block, breadcrumb writes are kernel-side host
+     bookkeeping (a crumb can land inside the trampoline before the
+     pkru is open) and charge no virtual time; the publish-last
+     stamping inside [Telemetry.Flight] is what makes a mid-write kill
+     leave no torn record. On re-attach the existing breadcrumbs are
+     preserved — they are exactly the forensic evidence of the previous
+     life. *)
+  let attach_flight ~region ~heap =
+    let block =
+      rooted_block ~region ~heap ~root:root_flight
+        ~bytes:Telemetry.Flight.bytes
+    in
+    let b =
+      { Telemetry.Flight.read =
+          (fun w -> Region.kernel_read_i64 region (block + (8 * w)));
+        write = (fun w v -> Region.kernel_write_i64 region (block + (8 * w)) v) }
+    in
+    Telemetry.Flight.install_backend b;
+    fun () -> Telemetry.Flight.detach_backend b
 
   (* Tenant plumbing installed on every handle:
      - the LRU selector routes each tenant's items onto the LRU list
@@ -204,20 +199,32 @@ module Make (S : Platform.Sync_intf.S) = struct
              Tenant.charge tenants slot ~bytes:(-bytes) ~items:(-1);
              Tenant.bump tenants slot Tenant.Evictions
            | None -> ()));
-    Tenant.stats_hook := (fun () -> Tenant.stats_kvs tenants);
-    Tenant.reset_hook := (fun () -> Tenant.reset_stats tenants);
-    Tenant.bump_hook :=
-      (fun name s ->
-        match Tenant.find tenants name with
-        | Some slot -> Tenant.bump tenants slot s
-        | None -> ());
+    let stats =
+      hook Tenant.stats_hook
+        (fun () -> Tenant.stats_kvs tenants)
+        ~default:(fun () -> [])
+    in
+    let reset =
+      hook Tenant.reset_hook
+        (fun () -> Tenant.reset_stats tenants)
+        ~default:(fun () -> ())
+    in
+    let bump =
+      hook Tenant.bump_hook
+        (fun name s ->
+          match Tenant.find tenants name with
+          | Some slot -> Tenant.bump tenants slot s
+          | None -> ())
+        ~default:(fun _ _ -> ())
+    in
     (* Online quota enforcement for the socket path: the executor
        routes every mutating store arm through this gate, inside the
        crossing. Same discipline as [t_set_in] — a full tenant evicts
        only its own items — and usage is recharged from the post-state
        so the account stays exact whatever the op returned. *)
-    Mc_server.Executor.quota_gate :=
-      Some
+    let gate =
+      hook Mc_server.Executor.quota_gate ~default:None
+      @@ Some
         { Mc_server.Executor.g_store = Obj.repr store;
           g_apply =
             (fun ~key ~op f ->
@@ -263,6 +270,8 @@ module Make (S : Platform.Sync_intf.S) = struct
                   resp
                 end)
         }
+    in
+    [ stats; reset; bump; gate ]
 
   let build_handle ~lib ~region ~heap ~arena ~store ~tenants ~path ~owner =
     let t =
@@ -271,9 +280,9 @@ module Make (S : Platform.Sync_intf.S) = struct
         stop_cleaner = Atomic.make false; cleaner = None;
         last_forensics = None }
     in
-    attach_telemetry ~region ~heap;
-    attach_flight ~region ~heap;
-    install_tenant_hooks ~store ~tenants;
+    let detach_telemetry = attach_telemetry ~region ~heap in
+    let detach_flight = attach_flight ~region ~heap in
+    let detach_tenants = install_tenant_hooks ~store ~tenants in
     (* The slot table is process-volatile; the registry is the truth.
        Re-create each persisted vkey so binds work after a restart. *)
     Region.kernel_mode (fun () ->
@@ -456,22 +465,39 @@ module Make (S : Platform.Sync_intf.S) = struct
        the allocator map plus the hot tier's and store slab accounting;
        `stats forensics` serves the stashed post-recovery report (or a
        live recorder analysis when no recovery has run yet). *)
-    Mc_server.Executor.heap_stats_hook :=
-      (fun () ->
-        Region.kernel_mode (fun () ->
-          Ralloc.heap_kvs t.heap
-          @ Mc_core.Bump_arena.stats_kvs t.arena
-          @ Store.stats_slabs t.store));
-    Mc_server.Executor.forensics_stats_hook :=
-      (fun () ->
-        match t.last_forensics with
-        | Some r -> Telemetry.Forensics.kvs r
-        | None -> Telemetry.Forensics.kvs (Telemetry.Forensics.analyze ()));
-    Mc_server.Executor.settings_stats_hook :=
-      (fun () ->
-        Region.kernel_mode (fun () ->
-          [ ("tenants_active", string_of_int (Tenant.count_active t.tenants));
-            ("tenants_max", string_of_int (Tenant.max_tenants t.tenants)) ]));
+    let live_forensics () =
+      Telemetry.Forensics.kvs (Telemetry.Forensics.analyze ())
+    in
+    let detach_heap_stats =
+      hook Mc_server.Executor.heap_stats_hook ~default:(fun () -> [])
+        (fun () ->
+          Region.kernel_mode (fun () ->
+            Ralloc.heap_kvs t.heap
+            @ Mc_core.Bump_arena.stats_kvs t.arena
+            @ Store.stats_slabs t.store))
+    in
+    let detach_forensics =
+      hook Mc_server.Executor.forensics_stats_hook ~default:live_forensics
+        (fun () ->
+          match t.last_forensics with
+          | Some r -> Telemetry.Forensics.kvs r
+          | None -> live_forensics ())
+    in
+    let detach_settings =
+      hook Mc_server.Executor.settings_stats_hook ~default:(fun () -> [])
+        (fun () ->
+          Region.kernel_mode (fun () ->
+            [ ("tenants_active", string_of_int (Tenant.count_active t.tenants));
+              ("tenants_max", string_of_int (Tenant.max_tenants t.tenants)) ]))
+    in
+    (* Releasing the library detaches every process-wide hook that still
+       points into this handle's heap — and only those: a handle created
+       since keeps its own — so a released heap is not kept reachable
+       until the next [create]. *)
+    Hodor.Library.set_release lib (fun () ->
+      List.iter (fun detach -> detach ())
+        (detach_telemetry :: detach_flight :: detach_heap_stats
+         :: detach_forensics :: detach_settings :: detach_tenants));
     t
 
   (* The bookkeeping process creates the store from nothing. *)
@@ -655,8 +681,33 @@ module Make (S : Platform.Sync_intf.S) = struct
      trace, degrades to a child span). An exception on the way out
      drops the root — a failed call carries no latency worth
      attributing. *)
-  let span_root name f =
-    let r = Telemetry.Span.ingress ~op:("plib." ^ name) () in
+  let root_phase name = Telemetry.Span.phase ("plib." ^ name)
+
+  let plib_get = root_phase "get"
+  let plib_set = root_phase "set"
+  let plib_delete = root_phase "delete"
+  let plib_add = root_phase "add"
+  let plib_replace = root_phase "replace"
+  let plib_append = root_phase "append"
+  let plib_prepend = root_phase "prepend"
+  let plib_cas = root_phase "cas"
+  let plib_incr = root_phase "incr"
+  let plib_decr = root_phase "decr"
+  let plib_touch = root_phase "touch"
+  let plib_mget = root_phase "mget"
+  let plib_batch = root_phase "batch"
+  let plib_create_tenant = root_phase "create_tenant"
+  let plib_tenant_get = root_phase "tenant_get"
+  let plib_tenant_set = root_phase "tenant_set"
+  let plib_tenant_delete = root_phase "tenant_delete"
+  let plib_tenant_touch = root_phase "tenant_touch"
+  let plib_tenant_flush = root_phase "tenant_flush"
+  let plib_tenant_mget = root_phase "tenant_mget"
+
+  let exec_phase = Telemetry.Span.phase "exec"
+
+  let span_root phase f =
+    let r = Telemetry.Span.ingress phase in
     match f () with
     | v ->
       Telemetry.Span.finish r;
@@ -668,13 +719,13 @@ module Make (S : Platform.Sync_intf.S) = struct
   (* ---- Raw (bytes-keyed) operations: the real protection boundary --- *)
 
   let get_raw t (key : bytes) =
-    span_root "get" @@ fun () ->
+    span_root plib_get @@ fun () ->
     Hodor.Trampoline.call_with_arg t.lib ~arg:key (fun key ->
       let key_prot = copy_in t key in
       Store.get t.store key_prot)
 
   let set_raw t ?(flags = 0) ?(exptime = 0) (key : bytes) (data : bytes) =
-    span_root "set" @@ fun () ->
+    span_root plib_set @@ fun () ->
     Hodor.Trampoline.call_with_args t.lib ~args:[ key; data ] (fun args ->
       match args with
       | [ key; data ] ->
@@ -684,7 +735,7 @@ module Make (S : Platform.Sync_intf.S) = struct
       | _ -> assert false)
 
   let delete_raw t (key : bytes) =
-    span_root "delete" @@ fun () ->
+    span_root plib_delete @@ fun () ->
     Hodor.Trampoline.call_with_arg t.lib ~arg:key (fun key ->
       let key_prot = copy_in t key in
       Store.delete t.store key_prot)
@@ -693,62 +744,62 @@ module Make (S : Platform.Sync_intf.S) = struct
      copy is for cost and idiom fidelity) -------------------------------- *)
 
   let get t key =
-    span_root "get" @@ fun () ->
+    span_root plib_get @@ fun () ->
     enter t (fun () -> Store.get t.store (copy_in t (Bytes.unsafe_of_string key)))
 
   let set t ?(flags = 0) ?(exptime = 0) key data =
-    span_root "set" @@ fun () ->
+    span_root plib_set @@ fun () ->
     enter t (fun () ->
       let key_prot = copy_in t (Bytes.unsafe_of_string key) in
       Store.set t.store ~flags ~exptime key_prot data)
 
   let add t ?(flags = 0) ?(exptime = 0) key data =
-    span_root "add" @@ fun () ->
+    span_root plib_add @@ fun () ->
     enter t (fun () ->
       Store.add t.store ~flags ~exptime
         (copy_in t (Bytes.unsafe_of_string key))
         data)
 
   let replace t ?(flags = 0) ?(exptime = 0) key data =
-    span_root "replace" @@ fun () ->
+    span_root plib_replace @@ fun () ->
     enter t (fun () ->
       Store.replace t.store ~flags ~exptime
         (copy_in t (Bytes.unsafe_of_string key))
         data)
 
   let append t key extra =
-    span_root "append" @@ fun () ->
+    span_root plib_append @@ fun () ->
     enter t (fun () ->
       Store.append t.store (copy_in t (Bytes.unsafe_of_string key)) extra)
 
   let prepend t key extra =
-    span_root "prepend" @@ fun () ->
+    span_root plib_prepend @@ fun () ->
     enter t (fun () ->
       Store.prepend t.store (copy_in t (Bytes.unsafe_of_string key)) extra)
 
   let cas t ?(flags = 0) ?(exptime = 0) ~cas key data =
-    span_root "cas" @@ fun () ->
+    span_root plib_cas @@ fun () ->
     enter t (fun () ->
       Store.cas t.store ~flags ~exptime ~cas
         (copy_in t (Bytes.unsafe_of_string key))
         data)
 
   let delete t key =
-    span_root "delete" @@ fun () ->
+    span_root plib_delete @@ fun () ->
     enter t (fun () -> Store.delete t.store (copy_in t (Bytes.unsafe_of_string key)))
 
   let incr t key delta =
-    span_root "incr" @@ fun () ->
+    span_root plib_incr @@ fun () ->
     enter t (fun () ->
       Store.incr t.store (copy_in t (Bytes.unsafe_of_string key)) delta)
 
   let decr t key delta =
-    span_root "decr" @@ fun () ->
+    span_root plib_decr @@ fun () ->
     enter t (fun () ->
       Store.decr t.store (copy_in t (Bytes.unsafe_of_string key)) delta)
 
   let touch t key exptime =
-    span_root "touch" @@ fun () ->
+    span_root plib_touch @@ fun () ->
     enter t (fun () ->
       Store.touch t.store (copy_in t (Bytes.unsafe_of_string key)) exptime)
 
@@ -763,7 +814,7 @@ module Make (S : Platform.Sync_intf.S) = struct
     match keys with
     | [] -> []
     | keys ->
-      span_root "mget" @@ fun () ->
+      span_root plib_mget @@ fun () ->
       Hodor.Trampoline.call_batch t.lib ~ops:(List.length keys) (fun () ->
         let prot =
           List.map (fun k -> copy_in t (Bytes.unsafe_of_string k)) keys
@@ -781,7 +832,7 @@ module Make (S : Platform.Sync_intf.S) = struct
             (fun key ->
               (* The batch fans out one [exec] child per op, so a trace
                  tree shows every key's lookup under one crossing. *)
-              Telemetry.Span.around ~phase:"exec" (fun () ->
+              Telemetry.Span.around exec_phase (fun () ->
                 Option.map (fun r -> (key, r)) (Store.get t.store key)))
             prot))
 
@@ -823,12 +874,12 @@ module Make (S : Platform.Sync_intf.S) = struct
     match ops with
     | [] -> []
     | ops ->
-      span_root "batch" @@ fun () ->
+      span_root plib_batch @@ fun () ->
       Hodor.Trampoline.call_batch t.lib ~ops:(List.length ops) (fun () ->
         List.mapi
           (fun i op ->
             let r =
-              Telemetry.Span.around ~phase:"exec" (fun () -> exec_op t op)
+              Telemetry.Span.around exec_phase (fun () -> exec_op t op)
             in
             (match on_op with Some f -> f i r | None -> ());
             r)
@@ -872,7 +923,7 @@ module Make (S : Platform.Sync_intf.S) = struct
       ignore (Pku.Vpkey.bind ~owner:uid vk))
 
   let create_tenant t ~name ~uid ?(byte_quota = 0) ?(item_quota = 0) () =
-    span_root "create_tenant" @@ fun () ->
+    span_root plib_create_tenant @@ fun () ->
     enter t (fun () ->
       let slot =
         Tenant.register t.tenants ~name ~uid ~byte_quota ~item_quota
@@ -915,10 +966,11 @@ module Make (S : Platform.Sync_intf.S) = struct
      thread at a sync point — the finally never runs, which is the
      point.) *)
   let t_crumb slot f =
-    Telemetry.Flight.record Telemetry.Flight.Tenant_scope ~a:slot;
+    Telemetry.Flight.record Telemetry.Flight.Tenant_scope ~a:slot ~b:0 ~c:0;
     Fun.protect
       ~finally:(fun () ->
-        Telemetry.Flight.record Telemetry.Flight.Tenant_unscope ~a:slot)
+        Telemetry.Flight.record Telemetry.Flight.Tenant_unscope ~a:slot ~b:0
+          ~c:0)
       f
 
   let t_get_in t slot key =
@@ -1005,31 +1057,31 @@ module Make (S : Platform.Sync_intf.S) = struct
     List.length keys
 
   let tenant_get t slot key =
-    span_root "tenant_get" @@ fun () ->
+    span_root plib_tenant_get @@ fun () ->
     bind_capability t slot;
     enter t (fun () ->
       t_get_in t slot key)
 
   let tenant_set t slot ?flags ?exptime key data =
-    span_root "tenant_set" @@ fun () ->
+    span_root plib_tenant_set @@ fun () ->
     bind_capability t slot;
     enter t (fun () ->
       t_set_in t slot ?flags ?exptime key data)
 
   let tenant_delete t slot key =
-    span_root "tenant_delete" @@ fun () ->
+    span_root plib_tenant_delete @@ fun () ->
     bind_capability t slot;
     enter t (fun () ->
       t_delete_in t slot key)
 
   let tenant_touch t slot key exptime =
-    span_root "tenant_touch" @@ fun () ->
+    span_root plib_tenant_touch @@ fun () ->
     bind_capability t slot;
     enter t (fun () ->
       t_touch_in t slot key exptime)
 
   let tenant_flush t slot =
-    span_root "tenant_flush" @@ fun () ->
+    span_root plib_tenant_flush @@ fun () ->
     bind_capability t slot;
     enter t (fun () ->
       t_flush_in t slot)
@@ -1048,7 +1100,7 @@ module Make (S : Platform.Sync_intf.S) = struct
     match keys with
     | [] -> []
     | keys ->
-      span_root "tenant_mget" @@ fun () ->
+      span_root plib_tenant_mget @@ fun () ->
       bind_capability t slot;
       Hodor.Trampoline.call_batch t.lib ~ops:(List.length keys) (fun () ->
         t_crumb slot @@ fun () ->
@@ -1067,7 +1119,7 @@ module Make (S : Platform.Sync_intf.S) = struct
         Store.with_stripes t.store ~stripes (fun () ->
           List.filter_map
             (fun (orig, key) ->
-              Telemetry.Span.around ~phase:"exec" (fun () ->
+              Telemetry.Span.around exec_phase (fun () ->
                 Tenant.bump t.tenants slot Tenant.Cmd_get;
                 match Store.get t.store key with
                 | Some r ->
@@ -1265,20 +1317,9 @@ module Make (S : Platform.Sync_intf.S) = struct
     Region.kernel_mode (fun () -> Store.detach t.store);
     Ralloc.flush t.heap ~path:disk_path;
     Simos.Sim_fs.unlink t.path;
-    Hodor.Library.release t.lib;
-    (* The executor hooks closed over this handle's registry. *)
-    Tenant.stats_hook := (fun () -> []);
-    Tenant.reset_hook := (fun () -> ());
-    Tenant.bump_hook := (fun _ _ -> ());
-    Mc_server.Executor.quota_gate := None;
-    Mc_server.Executor.heap_stats_hook := (fun () -> []);
-    Mc_server.Executor.settings_stats_hook := (fun () -> []);
-    Mc_server.Executor.forensics_stats_hook :=
-      (fun () -> Telemetry.Forensics.kvs (Telemetry.Forensics.analyze ()));
-    (* The counter cells and the flight-recorder block lived in this
-       heap; don't leave the process-wide backends pointing into a
-       detached region. Both were flushed with the heap and reappear on
-       restart. *)
-    Telemetry.Counters.reset_backend ();
-    Telemetry.Flight.reset_backend ()
+    (* Releasing detaches the process-wide hooks and backends that
+       point into this heap (see [build_handle]); the counter cells and
+       the flight-recorder block were flushed with the heap and
+       reappear on restart. *)
+    Hodor.Library.release t.lib
 end

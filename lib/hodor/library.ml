@@ -35,6 +35,7 @@ type t = {
   mutable health : health;
   mutable init_fn : (unit -> unit) option;
   mutable recover_fn : (unit -> unit) option;
+  mutable release_fn : unit -> unit;
   mutable released : bool;
 }
 
@@ -62,7 +63,7 @@ let create ?(protection = Protected) ?(grace_ns = default_grace_ns)
   in
   { lib_name = name; pkey; protection; owner_uid; grace_ns; copy_args;
     exports = Hashtbl.create 8; regions = []; health = Healthy;
-    init_fn = None; recover_fn = None; released = false }
+    init_fn = None; recover_fn = None; release_fn = ignore; released = false }
 
 let name t = t.lib_name
 
@@ -156,9 +157,13 @@ let find_export t entry : (unit -> unit) option =
 
 (* Idempotent: the old unconditional [Pkey.free] let a double release
    free a key that had since been recycled to another library. *)
+let set_release t f = t.release_fn <- f
+
 let release t =
   if not t.released then begin
     t.released <- true;
+    t.release_fn ();
+    t.release_fn <- ignore;
     (match t.protection with
      | Protected -> Pku.Pkey.free t.pkey
      | Unprotected -> ());

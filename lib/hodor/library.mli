@@ -113,4 +113,9 @@ val release : t -> unit
 (** Return the protection key and drop (and unclaim) the protected
     regions. Idempotent: a second release is a no-op rather than a
     double [Pkey.free] that could yank a since-recycled key from
-    another library. *)
+    another library. Runs the routine registered with {!set_release} first. *)
+
+val set_release : t -> (unit -> unit) -> unit
+(** Register what the owner detaches on {!release} (process-wide hooks
+    pointing into the library's state), so a released library's state
+    is not kept reachable through them. *)

@@ -55,6 +55,42 @@ let gate_violation (lib : Library.t) (p : Process.t) msg =
       Process.kill ~signal:"SIGSYS" ~now_ns:(Runtime.now_ns ()) p);
   raise (Gate_violation (Printf.sprintf "%s: %s" (Library.name lib) msg))
 
+(* Telemetry handles, resolved once. *)
+let crossing_phase = Telemetry.Span.phase "crossing"
+
+let call_timer = Telemetry.Timers.handle "hodor_call"
+
+let batch_timer = Telemetry.Timers.handle "batch_size"
+
+(* No protected entry pkru: an [Unprotected] crossing writes none. *)
+let no_pkru = -1
+
+(* The way out of a crossing; returns the pkru found drifted inside the
+   call, or [no_pkru]. A top-level function, not a closure, so a
+   crossing allocates nothing for it. *)
+let leave (lib : Library.t) p ~depth ~saved_pkru ~entered ~span ~entry_ns =
+  (* Exit gate check, before the restore erases the evidence: the
+     register must still hold exactly the value the trampoline wrote
+     on entry — any drift means a wrpkru executed inside the call. *)
+  let tampered =
+    if entered <> no_pkru && !gate_checks_enabled then
+      let cur = Pku.Pkru.read () in
+      if cur <> entered then cur else no_pkru
+    else no_pkru
+  in
+  (* Way out: restore pkru, switch stacks back, leave the library. *)
+  (match Library.protection lib with
+   | Library.Protected -> Pku.Pkru.wrpkru saved_pkru
+   | Library.Unprotected -> ());
+  decr depth;
+  Telemetry.Flight.record Telemetry.Flight.Cross_exit ~a:!depth ~b:0 ~c:0;
+  Process.leave_library p;
+  Telemetry.Counters.incr Telemetry.Counters.Id.hodor_exit;
+  Telemetry.Span.finish span;
+  if Telemetry.Control.on () then
+    Telemetry.Timers.record call_timer (Runtime.now_ns () - entry_ns);
+  tampered
+
 let call (lib : Library.t) (f : unit -> 'a) : 'a =
   Library.check_poisoned lib;
   (* A thread of a dead process cannot start a new call; kills that
@@ -90,47 +126,23 @@ let call (lib : Library.t) (f : unit -> 'a) : 'a =
   (* The crossing is its own trace phase: it covers wrpkru-in to
      wrpkru-out, so its self time (minus store/alloc children) is the
      per-call gate cost the paper's section 2 argues about. *)
-  let span = Telemetry.Span.start ~phase:"crossing" () in
+  let span = Telemetry.Span.start crossing_phase in
   (* Way in: stack switch + wrpkru opening the library's key. The
      breadcrumb lands in the same sync-free region as the depth
      increment (its publish has no sync point — Cross_enter is a state
      record), so the recorder and the stack state can never disagree
      at a kill site. *)
   incr depth;
-  Telemetry.Flight.record Telemetry.Flight.Cross_enter ~a:!depth;
+  Telemetry.Flight.record Telemetry.Flight.Cross_enter ~a:!depth ~b:0 ~c:0;
   let entered =
     match Library.protection lib with
     | Library.Protected ->
       let v = Pku.Pkru.set_perm saved_pkru (Library.pkey lib) Pku.Pkru.Enable in
       Pku.Pkru.wrpkru v;
-      Some v
-    | Library.Unprotected -> None
+      v
+    | Library.Unprotected -> no_pkru
   in
   Runtime.advance (cost lib);
-  let finish () =
-    (* Exit gate check, before the restore erases the evidence: the
-       register must still hold exactly the value the trampoline wrote
-       on entry — any drift means a wrpkru executed inside the call. *)
-    let tampered =
-      match entered with
-      | Some v when !gate_checks_enabled ->
-        let cur = Pku.Pkru.read () in
-        if cur <> v then Some cur else None
-      | Some _ | None -> None
-    in
-    (* Way out: restore pkru, switch stacks back, leave the library. *)
-    (match Library.protection lib with
-     | Library.Protected -> Pku.Pkru.wrpkru saved_pkru
-     | Library.Unprotected -> ());
-    decr depth;
-    Telemetry.Flight.record Telemetry.Flight.Cross_exit ~a:!depth;
-    Process.leave_library p;
-    Telemetry.Counters.incr Telemetry.Counters.Id.hodor_exit;
-    Telemetry.Span.finish span;
-    if Telemetry.Control.on () then
-      Telemetry.Timers.record ~op:"hodor_call" (Runtime.now_ns () - entry_ns);
-    tampered
-  in
   let result =
     try f ()
     with
@@ -142,7 +154,7 @@ let call (lib : Library.t) (f : unit -> 'a) : 'a =
       if Process.alive p then
         Shm.Region.kernel_mode (fun () ->
           Process.kill ~signal:"SIGSYS" ~now_ns:(Runtime.now_ns ()) p);
-      ignore (finish ());
+      ignore (leave lib p ~depth ~saved_pkru ~entered ~span ~entry_ns);
       raise e
     | e ->
       (* A crash inside library code is unrecoverable (paper §2): the
@@ -152,14 +164,14 @@ let call (lib : Library.t) (f : unit -> 'a) : 'a =
       Telemetry.Trace.emit ~sev:Telemetry.Trace.Error ~subsys:"hodor"
         (Printf.sprintf "%s poisoned: %s" (Library.name lib)
            (Printexc.to_string e));
-      ignore (finish ());
+      ignore (leave lib p ~depth ~saved_pkru ~entered ~span ~entry_ns);
       raise (Library_call_failed (Library.name lib, e))
   in
-  (match finish () with
-   | Some cur ->
+  (match leave lib p ~depth ~saved_pkru ~entered ~span ~entry_ns with
+   | cur when cur <> no_pkru ->
      gate_violation lib p
        (Printf.sprintf "pkru tampered inside the call (now %08x)" cur)
-   | None -> ());
+   | _ -> ());
   (* Completion guarantee: the call finished even if the process was
      killed mid-call — but only within the grace window. Boundary
      semantics, pinned by test/test_hodor.ml: with the kill at
@@ -207,9 +219,8 @@ let call (lib : Library.t) (f : unit -> 'a) : 'a =
 let call_batch (lib : Library.t) ~(ops : int) (f : unit -> 'a) : 'a =
   if ops < 1 then invalid_arg "Trampoline.call_batch: ops < 1";
   Telemetry.Counters.incr Telemetry.Counters.Id.hodor_batch_calls;
-  Telemetry.Counters.add ~n:ops Telemetry.Counters.Id.hodor_batch_ops;
-  if Telemetry.Control.on () then
-    Telemetry.Timers.record ~op:"batch_size" ops;
+  Telemetry.Counters.add Telemetry.Counters.Id.hodor_batch_ops ops;
+  Telemetry.Timers.record batch_timer ops;
   call lib f
 
 (* Trampoline-level argument copying (optional in Hodor; ablation

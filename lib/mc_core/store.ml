@@ -116,6 +116,13 @@ module C = struct
   let count = 17
 end
 
+(* Span phases of the store's op body and its stripe locking. *)
+let store_phase = Telemetry.Span.phase "store"
+
+let stripe_wait_phase = Telemetry.Span.phase "stripe_wait"
+
+let stripe_hold_phase = Telemetry.Span.phase "stripe_hold"
+
 (* Mirror of each store counter in the telemetry subsystem, or -1 for
    gauges (curr_items) that only the store tracks. Keeping the two in
    step lets `stats` report boundary and store counters from one place
@@ -207,7 +214,7 @@ struct
     op_enter t;
     (* One [store] span per op body. Host-side only, like every span:
        the cost model sees identical latencies with tracing off. *)
-    let sp = Telemetry.Span.start ~phase:"store" () in
+    let sp = Telemetry.Span.start store_phase in
     let r =
       try f ()
       with e ->
@@ -333,7 +340,7 @@ struct
     (* Telemetry mirror: host-side only, no [adv] — with telemetry off
        this is one ref read, so the cost model is unchanged. *)
     if v > 0 && Telemetry.Control.on () && telemetry_id.(ctr) >= 0 then
-      Telemetry.Counters.add ~n:v telemetry_id.(ctr);
+      Telemetry.Counters.add telemetry_id.(ctr) v;
     if t.cfg.single_stats_lock then begin
       (* One global lock means one globally hot cache line: every
          acquisition under concurrency pays the line transfer. This is
@@ -403,7 +410,7 @@ struct
       adv CM.current.lock_uncontended;
       (* [stripe_wait] covers only the blocking acquire: under the Vm
          it is nonzero exactly when another thread held the stripe. *)
-      let wsp = Telemetry.Span.start ~phase:"stripe_wait" () in
+      let wsp = Telemetry.Span.start stripe_wait_phase in
       let t0 = S.now_ns () in
       S.lock (item_mutex t h);
       seq_bump t (stripe_index t h);
@@ -413,12 +420,12 @@ struct
       holds :=
         { he_store = Obj.repr t; he_stripe = stripe_index t h;
           he_wait_ns = t1 - t0; he_since = t1;
-          he_span = Telemetry.Span.start ~phase:"stripe_hold" () }
+          he_span = Telemetry.Span.start stripe_hold_phase }
         :: !holds;
       (* Same sync-free region as the hold registration: the recorder
          and [holding_stripes_now] move atomically past a kill. *)
       Telemetry.Flight.record Telemetry.Flight.Stripe_acquire
-        ~a:(holding_stripes_now ()) ~b:(stripe_index t h)
+        ~a:(holding_stripes_now ()) ~b:(stripe_index t h) ~c:0
     end
 
   let unlock_item t h =
@@ -436,7 +443,7 @@ struct
        in
        pop [] !holds);
       Telemetry.Flight.record Telemetry.Flight.Stripe_release
-        ~a:(holding_stripes_now ()) ~b:s;
+        ~a:(holding_stripes_now ()) ~b:s ~c:0;
       seq_bump t s;
       S.unlock (item_mutex t h)
     end
@@ -476,12 +483,12 @@ struct
           in
           Telemetry.Contention.record ~stripe:s ~wait_ns ~hold_ns;
           Telemetry.Flight.record Telemetry.Flight.Stripe_release
-            ~a:(holding_stripes_now ()) ~b:s;
+            ~a:(holding_stripes_now ()) ~b:s ~c:0;
           seq_bump t s;
           S.unlock t.item_locks.(s))
         !acquired
     in
-    let wsp = Telemetry.Span.start ~phase:"stripe_wait" () in
+    let wsp = Telemetry.Span.start stripe_wait_phase in
     (try
        List.iter
          (fun s ->
@@ -498,14 +505,14 @@ struct
               the group's acquisitions must still find the stripes
               already pinned on the record. *)
            Telemetry.Flight.record Telemetry.Flight.Stripe_acquire
-             ~a:(holding_stripes_now ()) ~b:s)
+             ~a:(holding_stripes_now ()) ~b:s ~c:0)
          stripes
      with e ->
        Telemetry.Span.finish wsp;
        release ();
        raise e);
     Telemetry.Span.finish wsp;
-    hold_span := Telemetry.Span.start ~phase:"stripe_hold" ();
+    hold_span := Telemetry.Span.start stripe_hold_phase;
     hold_since := S.now_ns ();
     match f () with
     | v ->

@@ -165,23 +165,31 @@ let suppress_reply cmd (resp : response) =
   | Getx _, _ -> false
   | cmd, _ -> is_noreply cmd
 
-let command_name = function
-  | Get _ -> "get"
-  | Gets _ -> "gets"
-  | Getx _ -> "get"
-  | Set _ -> "set"
-  | Add _ -> "add"
-  | Replace _ -> "replace"
-  | Append _ -> "append"
-  | Prepend _ -> "prepend"
-  | Cas _ -> "cas"
-  | Delete _ -> "delete"
-  | Incr _ -> "incr"
-  | Decr _ -> "decr"
-  | Touch _ -> "touch"
-  | Stats _ -> "stats"
-  | Version -> "version"
-  | Flush_all -> "flush_all"
-  | Quit -> "quit"
-  | Noop -> "noop"
-  | Invalid _ -> "invalid"
+(* A command's tag: its name's index in [command_names], so per-command
+   tables (the executor's timers) are arrays, not string lookups. *)
+let command_names =
+  [| "get"; "gets"; "set"; "add"; "replace"; "append"; "prepend"; "cas";
+     "delete"; "incr"; "decr"; "touch"; "stats"; "version"; "flush_all";
+     "quit"; "noop"; "invalid" |]
+
+let command_tag = function
+  | Get _ | Getx _ -> 0
+  | Gets _ -> 1
+  | Set _ -> 2
+  | Add _ -> 3
+  | Replace _ -> 4
+  | Append _ -> 5
+  | Prepend _ -> 6
+  | Cas _ -> 7
+  | Delete _ -> 8
+  | Incr _ -> 9
+  | Decr _ -> 10
+  | Touch _ -> 11
+  | Stats _ -> 12
+  | Version -> 13
+  | Flush_all -> 14
+  | Quit -> 15
+  | Noop -> 16
+  | Invalid _ -> 17
+
+let command_name cmd = command_names.(command_tag cmd)

@@ -291,10 +291,21 @@ struct
     | P.Noop -> P.Ok
     | P.Invalid m -> P.Client_error m
 
+  (* Per-command telemetry, indexed by [P.command_tag]: the dispatch
+     crumb's op code (interned against the forensics table) and the
+     latency timer. *)
+  let op_codes = Array.map Telemetry.Forensics.op_code P.command_names
+
+  let op_timers = Array.map Telemetry.Timers.handle P.command_names
+
+  let exec_phase = Telemetry.Span.phase "exec"
+
+  let group_phase = Telemetry.Span.phase "group"
+
   (* Per-protocol-op latency, in virtual time, recorded host-side only
      (no [advance]): with telemetry off this is one ref read. *)
   let execute store (cmd : P.command) : P.response =
-    Telemetry.Span.around ~phase:"exec" @@ fun () ->
+    Telemetry.Span.around exec_phase @@ fun () ->
     if not (Telemetry.Control.on ()) then execute store cmd
     else begin
       (* Tenant and conn ride on Tenant_scope / ring-drain records;
@@ -302,11 +313,12 @@ struct
          forensics table — one word). An info record: its publish
          crosses a sync point, giving the crash sweep the torn-write
          window the publish-last protocol must absorb. *)
-      Telemetry.Flight.record Telemetry.Flight.Op_dispatch
-        ~a:(Telemetry.Forensics.op_code (P.command_name cmd)) ~b:(-1) ~c:(-1);
+      let tag = P.command_tag cmd in
+      Telemetry.Flight.record Telemetry.Flight.Op_dispatch ~a:op_codes.(tag)
+        ~b:(-1) ~c:(-1);
       let t0 = S.now_ns () in
       let resp = execute store cmd in
-      Telemetry.Timers.record ~op:(P.command_name cmd) (S.now_ns () - t0);
+      Telemetry.Timers.record op_timers.(tag) (S.now_ns () - t0);
       resp
     end
 
@@ -363,7 +375,7 @@ struct
         let resps =
           (* [group] covers the stripe-amortized run: stripe_wait/
              stripe_hold and the per-op [exec] children nest under it. *)
-          Telemetry.Span.around ~phase:"group" (fun () ->
+          Telemetry.Span.around group_phase (fun () ->
             Store.with_stripes store ~stripes (fun () ->
               List.map (fun c -> (c, execute store c)) run))
         in

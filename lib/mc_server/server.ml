@@ -78,6 +78,17 @@ let in_ring_drain : bool ref Tls.key = Tls.new_key (fun () -> ref false)
 
 let in_ring_drain_now () = !(Tls.get in_ring_drain)
 
+(* Span phases of a server drain. *)
+let batch_phase = Telemetry.Span.phase "srv.batch"
+
+let ring_phase = Telemetry.Span.phase "srv.ring"
+
+let queue_phase = Telemetry.Span.phase "queue"
+
+let parse_phase = Telemetry.Span.phase "parse"
+
+let reply_phase = Telemetry.Span.phase "reply"
+
 (* Generic over the store's memory/allocator so the same server can
    front a private slab store (the classic baseline) or a shared Ralloc
    heap (the hybrid deployment of the paper's §6: remote clients over
@@ -182,15 +193,15 @@ struct
       let data = Buffer.contents buf in
       if String.length data = 0 then ()
       else begin
-        let root = Telemetry.Span.ingress ?t_start:enq_at ~op:"srv.batch" () in
+        let root = Telemetry.Span.ingress ?t_start:enq_at batch_phase in
         (match enq_at with
          | Some at ->
            (* opened backdated, closed immediately: [at, now] is
               exactly the queueing window *)
            Telemetry.Span.finish
-             (Telemetry.Span.start ~t_start:at ~phase:"queue" ())
+             (Telemetry.Span.start ~t_start:at queue_phase)
          | None -> ());
-        let psp = Telemetry.Span.start ~phase:"parse" () in
+        let psp = Telemetry.Span.start parse_phase in
         match parse_batch t.cfg data with
         | [], _ ->
           (* an incomplete prefix: wait for the next chunk *)
@@ -256,7 +267,7 @@ struct
                 pairs
           in
           (* One output buffer for the whole batch, one send. *)
-          Telemetry.Span.around ~phase:"reply" (fun () ->
+          Telemetry.Span.around reply_phase (fun () ->
             let out = Buffer.create 256 in
             List.iter
               (fun (cmd, resp) ->
@@ -355,9 +366,9 @@ struct
      so crossings/op is 1/window with no caller-side batching. *)
   let ring_drain t conn cid buf ~msgs ~first_stamp =
     let st = ring_state t cid in
-    let root = Telemetry.Span.ingress ~t_start:first_stamp ~op:"srv.ring" () in
+    let root = Telemetry.Span.ingress ~t_start:first_stamp ring_phase in
     Telemetry.Span.finish
-      (Telemetry.Span.start ~t_start:first_stamp ~phase:"queue" ());
+      (Telemetry.Span.start ~t_start:first_stamp queue_phase);
     let tenant = tenant_of t cid in
     let outcome =
       t.wrap.wrap ~ops:(max 1 msgs) (fun () ->
@@ -381,7 +392,7 @@ struct
           let data = Buffer.contents buf in
           if String.length data = 0 then `Pairs ([], false)
           else begin
-            let psp = Telemetry.Span.start ~phase:"parse" () in
+            let psp = Telemetry.Span.start parse_phase in
             match parse_batch t.cfg data with
             | [], _ ->
               (* an incomplete prefix: wait for the next chunks *)
@@ -454,7 +465,7 @@ struct
             (fun (c, r) -> (c, Executor.unscope_response ~prefix r))
             pairs
       in
-      Telemetry.Span.around ~phase:"reply" (fun () ->
+      Telemetry.Span.around reply_phase (fun () ->
         let out = Buffer.create 256 in
         List.iter
           (fun (cmd, resp) ->

@@ -534,14 +534,14 @@ let alloc_large t size =
 
 (* ---- Public alloc/free -------------------------------------------------- *)
 
-let alloc t size =
-  if size <= 0 then invalid_arg "Ralloc.alloc: size must be positive";
-  Telemetry.Counters.incr Telemetry.Counters.Id.alloc_calls;
-  Telemetry.Counters.add ~n:size Telemetry.Counters.Id.alloc_bytes;
-  Telemetry.Span.around ~phase:"alloc" @@ fun () ->
+let alloc_phase = Telemetry.Span.phase "alloc"
+
+let free_phase = Telemetry.Span.phase "free"
+
+let alloc_body t size =
   if size > max_small then begin
     let off = alloc_large t size in
-    Telemetry.Flight.record Telemetry.Flight.Alloc_large ~a:size ~b:off;
+    Telemetry.Flight.record Telemetry.Flight.Alloc_large ~a:size ~b:off ~c:0;
     off
   end
   else begin
@@ -560,6 +560,21 @@ let alloc t size =
          unpoison_alloc t off size_classes.(c);
          off)
   end
+
+(* Each call is an [alloc]/[free] span; start and finish are spelled
+   out rather than wrapped, so the span costs no closure. *)
+let alloc t size =
+  if size <= 0 then invalid_arg "Ralloc.alloc: size must be positive";
+  Telemetry.Counters.incr Telemetry.Counters.Id.alloc_calls;
+  Telemetry.Counters.add Telemetry.Counters.Id.alloc_bytes size;
+  let sp = Telemetry.Span.start alloc_phase in
+  match alloc_body t size with
+  | off ->
+    Telemetry.Span.finish sp;
+    off
+  | exception e ->
+    Telemetry.Span.finish sp;
+    raise e
 
 (* Return one block to its superblock; caller holds the class lock. *)
 let return_block t c sb off =
@@ -595,11 +610,7 @@ let free_large t off =
   Atomic.set t.used (Atomic.get t.used - size);
   Mutex.unlock t.sb_lock
 
-let free t off =
-  if off < sb_base || off >= Region.size t.reg then
-    invalid_arg "Ralloc.free: offset outside heap";
-  Telemetry.Counters.incr Telemetry.Counters.Id.free_calls;
-  Telemetry.Span.around ~phase:"free" @@ fun () ->
+let free_body t off =
   let sb = sb_of_block t off in
   match rd t (sb + f_kind) with
   | k when k = kind_large_head ->
@@ -607,7 +618,7 @@ let free t off =
     let size = rd t (sb + f_large_size) in
     poison_free t off size;
     free_large t off;
-    Telemetry.Flight.record Telemetry.Flight.Free_large ~a:size ~b:off
+    Telemetry.Flight.record Telemetry.Flight.Free_large ~a:size ~b:off ~c:0
   | k when k = kind_small ->
     let c = rd t (sb + f_class) in
     poison_free t off size_classes.(c);
@@ -624,6 +635,17 @@ let free t off =
       flush_blocks t c spill
     end
   | _ -> invalid_arg "Ralloc.free: block not allocated"
+
+let free t off =
+  if off < sb_base || off >= Region.size t.reg then
+    invalid_arg "Ralloc.free: offset outside heap";
+  Telemetry.Counters.incr Telemetry.Counters.Id.free_calls;
+  let sp = Telemetry.Span.start free_phase in
+  match free_body t off with
+  | () -> Telemetry.Span.finish sp
+  | exception e ->
+    Telemetry.Span.finish sp;
+    raise e
 
 let usable_size t off =
   let sb = sb_of_block t off in

@@ -38,8 +38,7 @@ type t = {
    checks, as ring-0 code does on real hardware.
 
    The flag is a field of the thread's {!Tls} context; [kernel_mode]
-   runs on every shared-heap counter bump and flight crumb, so it
-   restores the flag with a plain handler rather than [Fun.protect]'s
+   restores it with a plain handler rather than [Fun.protect]'s
    closures. A sync point inside [f] may switch threads: the flag
    stays with this thread's context. *)
 let kernel_mode f =
@@ -114,10 +113,17 @@ let fault t ~off ~write ~key =
     (fun () k -> Format.asprintf "%a" Pku.Pkey.pp k) key
     (fun () v -> Format.asprintf "%a" Pku.Pkru.pp v) (Pku.Pkru.read ())
 
-let check t ~off ~len ~write =
+let[@inline never] out_of_bounds t ~off ~len =
+  invalid_arg
+    (Printf.sprintf "Region %s: access [%d,+%d) out of bounds" t.name off len)
+
+(* Small enough to inline into every accessor; the error path is not. *)
+let[@inline] bounds t ~off ~len =
   if off < 0 || len < 0 || off + len > Bytes.length t.data then
-    invalid_arg
-      (Printf.sprintf "Region %s: access [%d,+%d) out of bounds" t.name off len);
+    out_of_bounds t ~off ~len
+
+let check t ~off ~len ~write =
+  bounds t ~off ~len;
   let c = Tls.current () in
   if not (Tls.kernel c) then begin
     let pkru = Tls.pkru c in
@@ -166,6 +172,23 @@ let read_i64 t off =
 let write_i64 t off v =
   check t ~off ~len:8 ~write:true;
   Bytes.set_int64_le t.data off (Int64.of_int v)
+
+(* Kernel-side words: what a [kernel_mode] read/write of one word
+   reduces to — the bounds check, no pkey check, no mode switch and no
+   closure. The telemetry backends (counter cells, flight-recorder
+   words in the shared heap) make one such access per word. *)
+let kernel_read_i64 t off =
+  bounds t ~off ~len:8;
+  Int64.to_int (Bytes.get_int64_le t.data off)
+
+let kernel_write_i64 t off v =
+  bounds t ~off ~len:8;
+  Bytes.set_int64_le t.data off (Int64.of_int v)
+
+let kernel_add_i64 t off d =
+  bounds t ~off ~len:8;
+  Bytes.set_int64_le t.data off
+    (Int64.of_int (Int64.to_int (Bytes.get_int64_le t.data off) + d))
 
 (* Full-width variants: the store's CAS counter is an unsigned 64-bit
    quantity, which [read_i64]'s native-int round trip would truncate

@@ -79,6 +79,19 @@ val read_i64 : t -> int -> int
 
 val write_i64 : t -> int -> int -> unit
 
+val kernel_read_i64 : t -> int -> int
+(** [read_i64] as kernel-side code does it: bounds-checked, with no
+    pkey check and no mode switch. Equivalent to [read_i64] inside
+    {!kernel_mode}, without entering it. *)
+
+val kernel_write_i64 : t -> int -> int -> unit
+(** [write_i64] as kernel-side code does it (see {!kernel_read_i64}). *)
+
+val kernel_add_i64 : t -> int -> int -> unit
+(** [kernel_add_i64 t off d]: add [d] to the word at [off], kernel
+    side (see {!kernel_read_i64}). Not atomic: callers serialise, as
+    the Vm's cooperative scheduler does between sync points. *)
+
 val read_i64_raw : t -> int -> int64
 (** Full 64-bit read, without the native-int truncation of
     {!read_i64}. Used for unsigned quantities such as CAS values. *)

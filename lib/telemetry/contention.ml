@@ -20,19 +20,22 @@ let with_lock f =
   Mutex.lock lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
 
+(* Runs on every stripe release: one lock, no closure, no option. *)
 let record ~stripe ~wait_ns ~hold_ns =
-  if Control.on () then
-    with_lock (fun () ->
-      let c =
-        match Hashtbl.find_opt tbl stripe with
-        | Some c -> c
-        | None ->
-          let c = { wait_h = Histogram.create (); hold_h = Histogram.create () } in
-          Hashtbl.add tbl stripe c;
-          c
-      in
-      Histogram.record c.wait_h (max wait_ns 0);
-      Histogram.record c.hold_h (max hold_ns 0))
+  if Control.on () then begin
+    Mutex.lock lock;
+    let c =
+      match Hashtbl.find tbl stripe with
+      | c -> c
+      | exception Not_found ->
+        let c = { wait_h = Histogram.create (); hold_h = Histogram.create () } in
+        Hashtbl.add tbl stripe c;
+        c
+    in
+    Histogram.record c.wait_h (Int.max wait_ns 0);
+    Histogram.record c.hold_h (Int.max hold_ns 0);
+    Mutex.unlock lock
+  end
 
 type stripe_stats = {
   c_stripe : int;

@@ -1,17 +1,4 @@
-(** Global telemetry switch and clock hook.
-
-    Telemetry must be near-free when off: every emitter guards on
-    {!on}, which is a single ref read, and records host-side only —
-    no telemetry path ever charges virtual time, so the cost model
-    (and the nullcall overhead gate) see the same simulated latencies
-    with telemetry on or off.
-
-    The clock hook exists because telemetry sits below every other
-    library (it may depend only on [tls], so that pku/shm/ralloc/vm
-    can all depend on it). Whoever owns a clock — the Vm while a
-    simulation runs, a bench harness otherwise — installs it here;
-    the default clock reads 0, which keeps emitters total outside any
-    simulation. *)
+(* Global telemetry switch and clock hook — see control.mli. *)
 
 let enabled =
   ref
@@ -27,12 +14,8 @@ let default_now () = 0
 
 let now_hook : (unit -> int) ref = ref default_now
 
-(** Current virtual time in ns, per the installed provider (0 when
-    none is installed). *)
 let now_ns () = !now_hook ()
 
-(** Install a clock; returns the previous hook so the caller can
-    restore it (the Vm does this in a [Fun.protect] finally). *)
 let install_now now =
   let prev = !now_hook in
   now_hook := now;
@@ -52,8 +35,6 @@ let default_sync () = ()
 
 let sync_hook : (unit -> unit) ref = ref default_sync
 
-(** A scheduler sync point that charges no virtual time (a no-op when
-    no scheduler is installed). *)
 let sync_point () = !sync_hook ()
 
 let install_sync sync =

@@ -1,20 +1,4 @@
-(** Sharded event counters with a pluggable cell store.
-
-    Counts are striped across {!stripes} cells per counter: each
-    simulated (or OS) thread is assigned a stripe round-robin on first
-    use, so concurrent bumps from different threads land in different
-    cells and reads aggregate across stripes. This is the same
-    scattered-statistics idea the store uses for its own counters
-    (paper §4.2): writes stay contention-free, reads pay the loop.
-
-    The cell store is pluggable because where the cells live depends
-    on the deployment: the default backend is a process-local atomic
-    array (benchmarks, unit tests, the socket baseline); the protected
-    -library store installs a backend whose cells are 64-bit words in
-    the shared Ralloc heap, anchored under a persistent root, so
-    counters survive client crashes and bookkeeper restarts and are
-    {e sifted} — not reset — by recovery (see DESIGN.md
-    "Telemetry"). *)
+(* Sharded event counters — see counters.mli. *)
 
 let stripes = 16
 
@@ -176,6 +160,8 @@ let install_backend b = backend := b
 
 let reset_backend () = backend := local_backend ()
 
+let detach_backend b = if !backend == b then reset_backend ()
+
 (* Stripe assignment: round-robin at first use, held in per-thread
    TLS so each simulated thread under the Vm gets its own stripe. *)
 let next_stripe = Atomic.make 0
@@ -187,10 +173,10 @@ let my_stripe () =
   if !r < 0 then r := Atomic.fetch_and_add next_stripe 1 mod stripes;
   !r
 
-let add ?(n = 1) id =
+let add id n =
   if Control.on () then (!backend).add ((my_stripe () * Id.count) + id) n
 
-let incr id = add id
+let incr id = add id 1
 
 (* Reads don't gate on [Control.on]: a snapshot taken after telemetry
    is switched off should still see the counts recorded while on. *)
@@ -205,7 +191,7 @@ let read id =
 let reset () = (!backend).zero ()
 
 let pkey_fault k =
-  if k >= 0 && k < Id.pkeys then add (Id.pku_fault_pkey + k)
+  if k >= 0 && k < Id.pkeys then incr (Id.pku_fault_pkey + k)
 
 (* Boundary/allocator counters — the ones merged into the protocol's
    plain `stats` reply. Store-op mirrors are excluded there because

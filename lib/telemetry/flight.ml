@@ -1,45 +1,4 @@
-(** Crash-surviving flight recorder.
-
-    A fixed-size per-lane breadcrumb ring written with the same
-    publish-last stamping discipline as the transport rings: a
-    record's payload words and checksum land first, its sequence word
-    (position + 1) last, and the lane's position counter advances only
-    after that. A kill anywhere inside the protocol leaves a record
-    whose sequence or checksum does not validate — the record is
-    simply absent from the post-mortem dump, never torn.
-
-    The recorder writes through a pluggable word backend. The default
-    is a host array (always live, so the write path is exercised even
-    without a shared heap); the protected-library layer installs
-    closures over its Ralloc heap block (root [root_flight]) so the
-    breadcrumbs survive the process and feed {!Forensics} after
-    recovery.
-
-    Two record families with different atomicity:
-
-    {b State records} (crossing enter/exit, stripe acquire/release,
-    ring-drain begin/end) mark protocol-state transitions the
-    post-mortem classifier keys on. They are written without any
-    scheduler sync point, adjacent to the in-memory truth they mirror
-    (the trampoline's depth counter, the store's held-stripe list),
-    so under the simulator's cooperative scheduler the record and the
-    state it describes move atomically — the classifier can never
-    disagree with ground truth at a kill site. Each carries the
-    post-transition state (depth, held count, drain flag) so a reader
-    needs only the latest record of a family, not a balanced count.
-
-    {b Info records} (op dispatch, tenant scope, large alloc/free)
-    are annotations. Their publish deliberately crosses a scheduler
-    sync point ({!Control.sync_point}, zero virtual cost) between the
-    payload and the commit stamp, so the crash sweep exercises the
-    torn-write window at every such site — the publish-last protocol
-    is what keeps those kills invisible, and reverting it
-    ({!publish_last_enabled}) makes the torn-record test go red.
-
-    A small side area snapshots severity >= Error trace events
-    ({!snapshot_trace}, called by {!Trace.emit}) so pre-crash
-    warnings survive into the post-mortem even though the main trace
-    ring is process-local. *)
+(* Crash-surviving flight recorder — see flight.mli. *)
 
 type kind =
   | Cross_enter  (** a = trampoline depth after entry *)
@@ -205,6 +164,8 @@ let install_backend b =
 
 let reset_backend () = backend := host_backend
 
+let detach_backend b = if !backend == b then reset_backend ()
+
 (** Zero the current backend (tests and bench harness isolation). *)
 let reset () = format ()
 
@@ -229,7 +190,11 @@ let cksum ~seq ~kind ~a ~b ~c ~stamp =
   let mix h w = ((h * 0x1000193) + w + 0x9E3779B9) land max_int in
   mix (mix (mix (mix (mix (mix 0x811C9DC5 seq) kind) a) b) c) stamp
 
-let record ?(a = 0) ?(b = 0) ?(c = 0) kind =
+(* Write order, shipping protocol: payload words and checksum, the
+   sync point of a tearable record, the sequence word, then the lane
+   counter. With [publish_last_enabled] off the sequence word and sync
+   point come first. One backend write per word, no closure. *)
+let record kind ~a ~b ~c =
   if Control.on () then begin
     let be = !backend in
     let lane = my_lane () in
@@ -239,23 +204,20 @@ let record ?(a = 0) ?(b = 0) ?(c = 0) kind =
     let stamp = Control.now_ns () in
     let seq = pos + 1 in
     let ck = cksum ~seq ~kind:k ~a ~b ~c ~stamp in
-    let payload () =
-      be.write (base + 1) k;
-      be.write (base + 2) a;
-      be.write (base + 3) b;
-      be.write (base + 4) c;
-      be.write (base + 5) stamp;
-      be.write (base + 6) ck
-    in
-    if !publish_last_enabled then begin
-      payload ();
+    let last = !publish_last_enabled in
+    if not last then begin
+      be.write base seq;
+      if tearable kind then Control.sync_point ()
+    end;
+    be.write (base + 1) k;
+    be.write (base + 2) a;
+    be.write (base + 3) b;
+    be.write (base + 4) c;
+    be.write (base + 5) stamp;
+    be.write (base + 6) ck;
+    if last then begin
       if tearable kind then Control.sync_point ();
       be.write base seq
-    end
-    else begin
-      be.write base seq;
-      if tearable kind then Control.sync_point ();
-      payload ()
     end;
     be.write (w_lane_pos lane) (pos + 1)
   end
@@ -324,7 +286,6 @@ let torn_at_head lane =
 let torn_lanes () =
   List.filter torn_at_head (List.init lanes Fun.id)
 
-(** Total records ever published per lane (the position counters). *)
 let lane_counts () =
   let be = !backend in
   List.init lanes (fun l -> be.read (w_lane_pos l))

@@ -4,7 +4,13 @@
     time, so the cost model (and the tracer-overhead CI gate) see the
     same simulated latencies with tracing on or off. Mutex-guarded
     critical sections never perform effects, so the module is safe
-    under OS threads and the effects-based Vm alike. *)
+    under OS threads and the effects-based Vm alike.
+
+    Hot-path representation: a thread's trace in flight lives in
+    preallocated int arrays of its per-thread state, a span handle is
+    an unboxed int, phases are small interned ids, and a completed
+    trace is copied into a preallocated buffer slot. The public
+    [trace]/[span] records are built only when a reader asks. *)
 
 type span = {
   sid : int;
@@ -23,31 +29,6 @@ type trace = {
   spans : span list;
   done_seq : int;
 }
-
-(* Open spans are mutable while the trace is live; they freeze into
-   the immutable [span] at completion. *)
-type open_span = {
-  o_sid : int;
-  o_parent : int;
-  o_phase : string;
-  o_start : int;
-  mutable o_end : int;  (* -1 while open *)
-  mutable o_aborted : bool;
-}
-
-type live = {
-  l_id : int;
-  l_op : string;
-  l_sampled : bool;
-  mutable l_spans : open_span list;  (* reverse start order *)
-  mutable l_next : int;
-  mutable l_stack : open_span list;  (* open spans, innermost first *)
-  mutable l_closed : bool;
-}
-
-type t = No_span | Sp of live * open_span
-
-let null = No_span
 
 (* ---- Configuration --------------------------------------------------- *)
 
@@ -68,59 +49,144 @@ let set_slow_threshold_ns n = slow_ns := max 0 n
 
 let slow_threshold_ns () = !slow_ns
 
-(* ---- Per-thread state ------------------------------------------------- *)
+(* One real mutex guards the phase table, the buffers, the registry
+   and the accumulators; its critical sections are effect-free and
+   never raise. *)
+let lock = Mutex.create ()
 
-let current : live option ref Tls.key = Tls.new_key (fun () -> ref None)
+(* ---- Phases ------------------------------------------------------------ *)
 
-(* Completed traces: a bounded buffer per thread — the first
-   [head_cap] traces, a ring of the last [tail_cap], and every
-   over-threshold trace (the slow-op log, [slow_cap]-bounded). A
-   global registry keeps buffers reachable after their thread exits,
-   so post-run dumps see everything. One real mutex guards buffers,
-   registry and accumulators; its critical sections are effect-free. *)
+type phase = int
+
+let phase_ids : (string, int) Hashtbl.t = Hashtbl.create 32
+
+let phase_names = ref [||]
+
+(* Per-phase self-time histograms, indexed by phase id and created on
+   first record; [no_hist] marks a phase never recorded. *)
+let no_hist = Histogram.create ()
+
+let phase_hists = ref [||]
+
+let phase name =
+  Mutex.lock lock;
+  let id =
+    match Hashtbl.find_opt phase_ids name with
+    | Some id -> id
+    | None ->
+      let id = Hashtbl.length phase_ids in
+      Hashtbl.add phase_ids name id;
+      phase_names := Array.append !phase_names [| name |];
+      phase_hists := Array.append !phase_hists [| no_hist |];
+      id
+  in
+  Mutex.unlock lock;
+  id
+
+let name_of ph = !phase_names.(ph)
+
+(* ---- Span words --------------------------------------------------------- *)
+
+(* A span is [words] consecutive ints of a thread's span array:
+   phase id, parent sid (-1 for the root), start, end (-1 while
+   open), aborted flag, and the summed duration of its direct
+   children (filled in at attribution). Span [sid] starts at word
+   [sid * words]. *)
+let words = 6
+
+let f_phase = 0
+
+let f_parent = 1
+
+let f_start = 2
+
+let f_end = 3
+
+let f_aborted = 4
+
+let f_child = 5
+
+(* A handle is (trace generation lsl [sid_bits]) lor sid, so a handle
+   outliving its trace matches nothing. *)
+let sid_bits = 24
+
+let sid_mask = (1 lsl sid_bits) - 1
+
+type t = int
+
+let null = -1
+
+(* ---- Per-thread state --------------------------------------------------- *)
+
+(* A completed trace as kept in a buffer: the span words copied out of
+   the live arrays. Slots are reused in place; [r_sp] only grows. *)
+type raw = {
+  mutable r_id : int;
+  mutable r_sampled : bool;
+  mutable r_aborted : bool;
+  mutable r_seq : int;
+  mutable r_n : int;
+  mutable r_sp : int array;
+}
+
+(* Completed traces: the first [head_cap] traces, a ring of the last
+   [tail_cap], and a ring of the last [slow_cap] over-threshold traces
+   (the slow-op log). A global registry keeps a thread's buffers
+   reachable after it exits, so post-run dumps see everything. *)
 let head_cap = 8
 
 let tail_cap = 32
 
 let slow_cap = 64
 
-type buffer = {
-  mutable head : trace list;  (* newest first, first head_cap traces *)
+let empty_raw () =
+  { r_id = -1; r_sampled = false; r_aborted = false; r_seq = -1; r_n = 0;
+    r_sp = [||] }
+
+type state = {
+  (* the trace in flight: its id, or -1 when none *)
+  mutable id : int;
+  (* bumped at every trace this thread mints: names the trace in
+     handles and attribution marks, and unlike ids survives {!reset} *)
+  mutable gen : int;
+  mutable sampled : bool;
+  mutable n : int;  (* spans opened *)
+  mutable sp : int array;
+  mutable stack : int array;  (* open sids, innermost last *)
+  mutable depth : int;
+  (* attribution scratch, indexed by phase id: the self time summed in
+     the current trace, and the [gen] of the trace that last touched it *)
+  mutable acc : int array;
+  mutable seen : int array;
+  mutable touched : int array;
+  (* buffers, slots allocated at first use *)
+  mutable head : raw array;
   mutable head_n : int;
-  tail : trace option array;
+  mutable tail : raw array;
   mutable tail_at : int;
-  mutable slow : trace list;  (* newest first *)
-  mutable slow_n : int;
+  mutable slow : raw array;
+  mutable slow_at : int;
 }
 
-let lock = Mutex.create ()
+let registry : state list ref = ref []
 
-let with_lock f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
-
-let registry : buffer list ref = ref []
-
-let buffer_key : buffer Tls.key =
+let state_key : state Tls.key =
   Tls.new_key (fun () ->
-    let b =
-      { head = []; head_n = 0; tail = Array.make tail_cap None; tail_at = 0;
-        slow = []; slow_n = 0 }
-    in
-    with_lock (fun () -> registry := b :: !registry);
-    b)
+    { id = -1; gen = 0; sampled = false; n = 0; sp = Array.make (8 * words) 0;
+      stack = Array.make 8 0; depth = 0; acc = [||]; seen = [||];
+      touched = [||]; head = [||]; head_n = 0;
+      tail = [||]; tail_at = 0; slow = [||]; slow_at = 0 })
 
-(* ---- Counters and accumulators ---------------------------------------- *)
+(* ---- Counters and accumulators ------------------------------------------ *)
 
 let mint_counter = Atomic.make 0
 
-let done_counter = Atomic.make 0
-
-let phase_tbl : (string, Histogram.t) Hashtbl.t = Hashtbl.create 16
+(* Completion order of kept traces; under [lock]. *)
+let done_counter = ref 0
 
 let e2e_hist = Histogram.create ()
 
-(* ---- Building trees --------------------------------------------------- *)
+(* ---- Building trees ------------------------------------------------------ *)
 
 (* An adopted [t_start] (a ring message's enqueue stamp, a batch's
    arrival time) was read off another thread's clock and can sit in
@@ -130,189 +196,243 @@ let e2e_hist = Histogram.create ()
    attribution) is unaffected. *)
 let adopt_start t_start =
   let now = Control.now_ns () in
-  match t_start with Some a -> min a now | None -> now
+  match t_start with Some a -> Int.min a now | None -> now
 
-let start_in lv ?t_start ~phase () =
-  let t0 = adopt_start t_start in
-  let parent =
-    match lv.l_stack with [] -> -1 | top :: _ -> top.o_sid
-  in
-  let sp =
-    { o_sid = lv.l_next; o_parent = parent; o_phase = phase; o_start = t0;
-      o_end = -1; o_aborted = false }
-  in
-  lv.l_next <- lv.l_next + 1;
-  lv.l_spans <- sp :: lv.l_spans;
-  lv.l_stack <- sp :: lv.l_stack;
-  Sp (lv, sp)
+let grow a need =
+  let b = Array.make (max need (2 * Array.length a)) 0 in
+  Array.blit a 0 b 0 (Array.length a);
+  b
 
-let start ?t_start ~phase () =
-  match !(Tls.get current) with
-  | Some lv when lv.l_sampled && not lv.l_closed ->
-    start_in lv ?t_start ~phase ()
-  | _ -> No_span
+let open_span st ?t_start ph =
+  let sid = st.n in
+  let w = sid * words in
+  if w + words > Array.length st.sp then st.sp <- grow st.sp (w + words);
+  if st.depth = Array.length st.stack then
+    st.stack <- grow st.stack (st.depth + 1);
+  let sp = st.sp in
+  sp.(w + f_phase) <- ph;
+  sp.(w + f_parent) <- (if st.depth = 0 then -1 else st.stack.(st.depth - 1));
+  sp.(w + f_start) <- adopt_start t_start;
+  sp.(w + f_end) <- -1;
+  sp.(w + f_aborted) <- 0;
+  sp.(w + f_child) <- 0;
+  st.stack.(st.depth) <- sid;
+  st.depth <- st.depth + 1;
+  st.n <- sid + 1;
+  (st.gen lsl sid_bits) lor sid
 
-let ingress ?t_start ~op () =
-  if not (Control.on ()) || !sample_every = 0 then No_span
+let start ?t_start ph =
+  let st = Tls.get state_key in
+  if st.id >= 0 && st.sampled then open_span st ?t_start ph else null
+
+let ingress ?t_start op =
+  if not (Control.on ()) || !sample_every = 0 then null
   else
-    let r = Tls.get current in
-    match !r with
-    | Some lv when not lv.l_closed ->
+    let st = Tls.get state_key in
+    if st.id >= 0 then
       (* nested ingress: the inner op is a child phase of the outer
          trace (a library call under a server drain, say) *)
-      if lv.l_sampled then start_in lv ?t_start ~phase:op () else No_span
-    | _ ->
+      if st.sampled then open_span st ?t_start op else null
+    else begin
       let n = Atomic.fetch_and_add mint_counter 1 in
-      let sampled = !sample_every = 1 || n mod !sample_every = 0 in
-      let t0 = adopt_start t_start in
-      let root =
-        { o_sid = 0; o_parent = -1; o_phase = op; o_start = t0; o_end = -1;
-          o_aborted = false }
-      in
-      let lv =
-        { l_id = n; l_op = op; l_sampled = sampled; l_spans = [ root ];
-          l_next = 1; l_stack = [ root ]; l_closed = false }
-      in
-      r := Some lv;
-      Sp (lv, root)
+      st.id <- n;
+      st.gen <- st.gen + 1;
+      st.sampled <- !sample_every = 1 || n mod !sample_every = 0;
+      st.n <- 0;
+      st.depth <- 0;
+      open_span st ?t_start op
+    end
 
-let freeze (o : open_span) =
-  { sid = o.o_sid; parent = o.o_parent; phase = o.o_phase;
-    s_start = o.o_start; s_end = max o.o_end o.o_start;
-    s_aborted = o.o_aborted }
+(* Self time per phase in one pass: sids are preorder, so walking them
+   downwards meets every child before its parent, and each span's
+   [f_child] sum is complete when the walk reaches it. The phases the
+   trace touched are listed in [touched]; returns how many. Integer
+   arithmetic, so the per-phase values sum exactly to the root's
+   duration. *)
+let attribute_scratch st =
+  let nph = Array.length !phase_names in
+  if Array.length st.seen < nph then begin
+    (* marks start over: every phase is unseen in the current trace *)
+    let cap = max nph (2 * Array.length st.seen) in
+    st.acc <- Array.make cap 0;
+    st.seen <- Array.make cap (-1);
+    st.touched <- Array.make cap 0
+  end;
+  let sp = st.sp and touched = ref 0 in
+  for sid = st.n - 1 downto 0 do
+    let w = sid * words in
+    let dur = sp.(w + f_end) - sp.(w + f_start) in
+    let ph = sp.(w + f_phase) in
+    if st.seen.(ph) <> st.gen then begin
+      st.seen.(ph) <- st.gen;
+      st.acc.(ph) <- 0;
+      st.touched.(!touched) <- ph;
+      incr touched
+    end;
+    st.acc.(ph) <- st.acc.(ph) + dur - sp.(w + f_child);
+    let p = sp.(w + f_parent) in
+    if p >= 0 then begin
+      let pw = (p * words) + f_child in
+      sp.(pw) <- sp.(pw) + dur
+    end
+  done;
+  !touched
 
-let duration tr =
-  match tr.spans with [] -> 0 | root :: _ -> root.s_end - root.s_start
+(* Under [lock]. *)
+let record_phases st touched ~dur =
+  for i = 0 to touched - 1 do
+    let ph = st.touched.(i) in
+    let h =
+      let h = !phase_hists.(ph) in
+      if h != no_hist then h
+      else begin
+        let h = Histogram.create () in
+        !phase_hists.(ph) <- h;
+        h
+      end
+    in
+    Histogram.record h (Int.max st.acc.(ph) 0)
+  done;
+  Histogram.record e2e_hist (Int.max dur 0)
 
-(* Per-phase self time: each span's duration minus its direct
-   children's. Integer arithmetic, so the sum over phases equals the
-   root duration exactly. *)
-let self_times tr =
-  let n = List.length tr.spans in
-  let child_sum = Array.make n 0 in
-  List.iter
-    (fun sp ->
-      if sp.parent >= 0 && sp.parent < n then
-        child_sum.(sp.parent) <-
-          child_sum.(sp.parent) + (sp.s_end - sp.s_start))
-    tr.spans;
-  let per_phase : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun sp ->
-      let self = sp.s_end - sp.s_start - child_sum.(sp.sid) in
-      let prev = Option.value ~default:0 (Hashtbl.find_opt per_phase sp.phase) in
-      Hashtbl.replace per_phase sp.phase (prev + self))
-    tr.spans;
-  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) per_phase [])
+let copy_into r st ~aborted ~seq =
+  let len = st.n * words in
+  if Array.length r.r_sp < len then r.r_sp <- Array.make len 0;
+  (* a typed loop, not [Array.blit]: a blit into a major-heap array
+     pays the write barrier on every word, ints or not *)
+  let src = st.sp and dst = r.r_sp in
+  for i = 0 to len - 1 do
+    dst.(i) <- src.(i)
+  done;
+  r.r_id <- st.id;
+  r.r_sampled <- st.sampled;
+  r.r_aborted <- aborted;
+  r.r_seq <- seq;
+  r.r_n <- st.n
 
-let attribute tr =
-  with_lock (fun () ->
-    List.iter
-      (fun (phase, self) ->
-        let h =
-          match Hashtbl.find_opt phase_tbl phase with
-          | Some h -> h
-          | None ->
-            let h = Histogram.create () in
-            Hashtbl.add phase_tbl phase h;
-            h
-        in
-        Histogram.record h (max self 0))
-      (self_times tr);
-    Histogram.record e2e_hist (max (duration tr) 0))
-
-let keep buf tr ~slow =
-  if buf.head_n < head_cap then begin
-    buf.head <- tr :: buf.head;
-    buf.head_n <- buf.head_n + 1
+(* Under [lock]. The buffer arrays are empty until a thread first keeps
+   a trace, which is also when it joins the registry. *)
+let keep st ~aborted ~slow =
+  let seq = !done_counter in
+  done_counter := seq + 1;
+  if Array.length st.head = 0 then begin
+    st.head <- Array.init head_cap (fun _ -> empty_raw ());
+    st.tail <- Array.init tail_cap (fun _ -> empty_raw ());
+    st.slow <- Array.init slow_cap (fun _ -> empty_raw ());
+    registry := st :: !registry
+  end;
+  if st.head_n < head_cap then begin
+    copy_into st.head.(st.head_n) st ~aborted ~seq;
+    st.head_n <- st.head_n + 1
   end
   else begin
-    buf.tail.(buf.tail_at mod tail_cap) <- Some tr;
-    buf.tail_at <- buf.tail_at + 1
+    copy_into st.tail.(st.tail_at mod tail_cap) st ~aborted ~seq;
+    st.tail_at <- st.tail_at + 1
   end;
   if slow then begin
-    buf.slow <- tr :: buf.slow;
-    buf.slow_n <- buf.slow_n + 1;
-    if buf.slow_n > slow_cap then begin
-      (* drop the oldest kept slow trace *)
-      buf.slow <- List.filteri (fun i _ -> i < slow_cap) buf.slow;
-      buf.slow_n <- slow_cap
+    copy_into st.slow.(st.slow_at mod slow_cap) st ~aborted ~seq;
+    st.slow_at <- st.slow_at + 1
+  end
+
+let complete st ~aborted =
+  let id = st.id in
+  let dur = st.sp.(f_end) - st.sp.(f_start) in
+  let attribute = (not aborted) && st.sampled in
+  let slow = !slow_ns > 0 && dur >= !slow_ns in
+  (* Unsampled traces exist only to detect slowness: buffer them when
+     over threshold (or flushed aborted), drop them otherwise. Every
+     attributed trace is kept. *)
+  let kept = st.sampled || slow || aborted in
+  let touched = if attribute then attribute_scratch st else 0 in
+  if kept then begin
+    Mutex.lock lock;
+    if attribute then record_phases st touched ~dur;
+    keep st ~aborted ~slow;
+    Mutex.unlock lock
+  end;
+  let n = st.n in
+  st.id <- -1;
+  st.depth <- 0;
+  if slow && Trace.would_log Trace.Warn then
+    Trace.emit ~sev:Trace.Warn ~subsys:"span"
+      (Printf.sprintf "slow trace #%d %s: %d ns (threshold %d)" id
+         (name_of st.sp.(f_phase)) dur !slow_ns);
+  if aborted && Trace.would_log Trace.Warn then
+    Trace.emit ~sev:Trace.Warn ~subsys:"span"
+      (Printf.sprintf "trace #%d %s aborted: %d span(s) flushed" id
+         (name_of st.sp.(f_phase)) n)
+
+(* The live state's slot for handle [h], or -1 when [h] is null, stale,
+   another thread's, or already closed. *)
+let open_word st h =
+  if h < 0 || st.id < 0 || h lsr sid_bits <> st.gen then -1
+  else
+    let sid = h land sid_mask in
+    let w = sid * words in
+    if sid < st.n && st.sp.(w + f_end) < 0 then w else -1
+
+let pop st sid =
+  let d = st.depth in
+  let i = ref (d - 1) in
+  while !i >= 0 && st.stack.(!i) <> sid do
+    decr i
+  done;
+  if !i >= 0 then begin
+    (* usually the innermost: nothing to shift *)
+    for j = !i to d - 2 do
+      st.stack.(j) <- st.stack.(j + 1)
+    done;
+    st.depth <- d - 1
+  end
+
+let close_at st w at =
+  st.sp.(w + f_end) <- Int.max at st.sp.(w + f_start)
+
+let close_open st at =
+  for sid = 0 to st.n - 1 do
+    let w = sid * words in
+    if st.sp.(w + f_end) < 0 then begin
+      close_at st w at;
+      st.sp.(w + f_aborted) <- 1
     end
-  end
+  done;
+  st.depth <- 0
 
-let complete lv ~aborted =
-  if not lv.l_closed then begin
-    lv.l_closed <- true;
-    let r = Tls.get current in
-    (match !r with Some lv' when lv' == lv -> r := None | _ -> ());
-    let spans =
-      List.rev_map freeze lv.l_spans
-      |> List.sort (fun a b -> compare a.sid b.sid)
-    in
-    let tr =
-      { trace_id = lv.l_id; root_op = lv.l_op; sampled = lv.l_sampled;
-        t_aborted = aborted; spans;
-        done_seq = Atomic.fetch_and_add done_counter 1 }
-    in
-    if (not aborted) && lv.l_sampled then attribute tr;
-    let slow = !slow_ns > 0 && duration tr >= !slow_ns in
-    (* Unsampled traces exist only to detect slowness: buffer them
-       when over threshold (or flushed aborted), drop them otherwise. *)
-    if lv.l_sampled || slow || aborted then begin
-      let buf = Tls.get buffer_key in
-      with_lock (fun () -> keep buf tr ~slow)
-    end;
-    if slow && Trace.would_log Trace.Warn then
-      Trace.emit ~sev:Trace.Warn ~subsys:"span"
-        (Printf.sprintf "slow trace #%d %s: %d ns (threshold %d)" tr.trace_id
-           tr.root_op (duration tr) !slow_ns);
-    if aborted && Trace.would_log Trace.Warn then
-      Trace.emit ~sev:Trace.Warn ~subsys:"span"
-        (Printf.sprintf "trace #%d %s aborted: %d span(s) flushed" tr.trace_id
-           tr.root_op (List.length tr.spans))
-  end
-
-let close_open lv at =
-  List.iter
-    (fun o ->
-      if o.o_end < 0 then begin
-        o.o_end <- max at o.o_start;
-        o.o_aborted <- true
-      end)
-    lv.l_spans;
-  lv.l_stack <- []
-
-let finish = function
-  | No_span -> ()
-  | Sp (lv, sp) ->
-    if (not lv.l_closed) && sp.o_end < 0 then begin
-      sp.o_end <- Control.now_ns ();
-      lv.l_stack <- List.filter (fun o -> o != sp) lv.l_stack;
-      if sp.o_parent = -1 then begin
+let finish h =
+  if h >= 0 then begin
+    let st = Tls.get state_key in
+    let w = open_word st h in
+    if w >= 0 then begin
+      close_at st w (Control.now_ns ());
+      pop st (h land sid_mask);
+      if w = 0 then begin
         (* robustness: a child left open under a finishing root is a
            bug in the instrumentation — flag it rather than hang *)
-        close_open lv sp.o_end;
-        complete lv ~aborted:false
+        close_open st st.sp.(f_end);
+        complete st ~aborted:false
       end
     end
+  end
 
-let drop = function
-  | No_span -> ()
-  | Sp (lv, sp) ->
-    if (not lv.l_closed) && sp.o_end < 0 then begin
-      sp.o_end <- Control.now_ns ();
-      sp.o_aborted <- true;
-      lv.l_stack <- List.filter (fun o -> o != sp) lv.l_stack;
-      if sp.o_parent = -1 then begin
-        (* discard the whole trace: no attribution, no buffers *)
-        lv.l_closed <- true;
-        let r = Tls.get current in
-        match !r with Some lv' when lv' == lv -> r := None | _ -> ()
+let drop h =
+  if h >= 0 then begin
+    let st = Tls.get state_key in
+    let w = open_word st h in
+    if w >= 0 then begin
+      close_at st w (Control.now_ns ());
+      st.sp.(w + f_aborted) <- 1;
+      pop st (h land sid_mask);
+      (* a dropped root discards the whole trace: no attribution, no
+         buffers *)
+      if w = 0 then begin
+        st.id <- -1;
+        st.depth <- 0
       end
     end
+  end
 
-let around ~phase f =
-  let sp = start ~phase () in
+let around ph f =
+  let sp = start ph in
   match f () with
   | v ->
     finish sp;
@@ -322,32 +442,44 @@ let around ~phase f =
     raise e
 
 let flush_aborted () =
-  match !(Tls.get current) with
-  | None -> ()
-  | Some lv ->
-    if not lv.l_closed then begin
-      close_open lv (Control.now_ns ());
-      complete lv ~aborted:true
-    end
+  let st = Tls.get state_key in
+  if st.id >= 0 then begin
+    close_open st (Control.now_ns ());
+    complete st ~aborted:true
+  end
 
-let active () =
-  match !(Tls.get current) with
-  | Some lv -> not lv.l_closed
-  | None -> false
+let active () = (Tls.get state_key).id >= 0
 
-(* ---- Completed traces ------------------------------------------------- *)
+(* ---- Completed traces --------------------------------------------------- *)
 
-let all_of buf =
-  List.rev_append buf.head
-    (Array.to_list buf.tail |> List.filter_map Fun.id)
+let to_trace r =
+  let spans =
+    List.init r.r_n (fun sid ->
+      let w = sid * words in
+      { sid; parent = r.r_sp.(w + f_parent);
+        phase = name_of r.r_sp.(w + f_phase); s_start = r.r_sp.(w + f_start);
+        s_end = r.r_sp.(w + f_end); s_aborted = r.r_sp.(w + f_aborted) = 1 })
+  in
+  { trace_id = r.r_id; root_op = name_of r.r_sp.(f_phase);
+    sampled = r.r_sampled; t_aborted = r.r_aborted; spans; done_seq = r.r_seq }
+
+(* Under [lock]: the first [n] slots of [a], as public traces. *)
+let slots a n = List.init (min n (Array.length a)) (fun i -> to_trace a.(i))
+
+let by_seq a b = compare a.done_seq b.done_seq
 
 let traces ?n () =
   let all =
-    with_lock (fun () ->
-      List.concat_map (fun b -> all_of b @ b.slow) !registry)
-  in
-  let all =
-    List.sort_uniq (fun a b -> compare a.done_seq b.done_seq) all
+    Mutex.lock lock;
+    let l =
+      List.concat_map
+        (fun st ->
+          slots st.head st.head_n @ slots st.tail st.tail_at
+          @ slots st.slow st.slow_at)
+        !registry
+    in
+    Mutex.unlock lock;
+    List.sort_uniq by_seq l
   in
   match n with
   | None -> all
@@ -357,10 +489,39 @@ let traces ?n () =
     List.filteri (fun i _ -> i >= drop) all
 
 let slow_traces () =
-  with_lock (fun () -> List.concat_map (fun b -> b.slow) !registry)
-  |> List.sort (fun a b -> compare a.done_seq b.done_seq)
+  Mutex.lock lock;
+  let l = List.concat_map (fun st -> slots st.slow st.slow_at) !registry in
+  Mutex.unlock lock;
+  List.sort by_seq l
 
-(* ---- Well-formedness -------------------------------------------------- *)
+let duration tr =
+  match tr.spans with [] -> 0 | root :: _ -> root.s_end - root.s_start
+
+(* Each span's self time (its duration minus its direct children's),
+   by sid: the read-side twin of [attribute_scratch]. *)
+let span_selves tr =
+  let n = List.length tr.spans in
+  let self = Array.make (max n 1) 0 in
+  List.iter
+    (fun sp ->
+      let dur = sp.s_end - sp.s_start in
+      self.(sp.sid) <- self.(sp.sid) + dur;
+      if sp.parent >= 0 && sp.parent < n then
+        self.(sp.parent) <- self.(sp.parent) - dur)
+    tr.spans;
+  self
+
+let self_times tr =
+  let self = span_selves tr in
+  let per_phase : (string, int) Hashtbl.t = Hashtbl.create 8 in
+  List.iter
+    (fun sp ->
+      let prev = Option.value ~default:0 (Hashtbl.find_opt per_phase sp.phase) in
+      Hashtbl.replace per_phase sp.phase (prev + self.(sp.sid)))
+    tr.spans;
+  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) per_phase [])
+
+(* ---- Well-formedness ---------------------------------------------------- *)
 
 let well_formed tr =
   let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
@@ -409,18 +570,12 @@ let well_formed tr =
     | None -> Ok ()
   end
 
-(* ---- Rendering -------------------------------------------------------- *)
+(* ---- Rendering ---------------------------------------------------------- *)
 
 let render_tree tr =
   let b = Buffer.create 256 in
   let n = List.length tr.spans in
-  let child_sum = Array.make (max n 1) 0 in
-  List.iter
-    (fun sp ->
-      if sp.parent >= 0 && sp.parent < n then
-        child_sum.(sp.parent) <-
-          child_sum.(sp.parent) + (sp.s_end - sp.s_start))
-    tr.spans;
+  let self = span_selves tr in
   let depth = Array.make (max n 1) 0 in
   List.iter
     (fun sp ->
@@ -439,12 +594,12 @@ let render_tree tr =
         (Printf.sprintf "%s%s @%d +%d ns (self %d ns)%s\n"
            (String.make (2 * (depth.(sp.sid) + 1)) ' ')
            sp.phase sp.s_start dur
-           (dur - child_sum.(sp.sid))
+           self.(sp.sid)
            (if sp.s_aborted then " [aborted]" else "")))
     tr.spans;
   Buffer.contents b
 
-(* ---- Phase attribution ------------------------------------------------ *)
+(* ---- Phase attribution -------------------------------------------------- *)
 
 type phase_stats = {
   p_count : int;
@@ -459,11 +614,21 @@ let stats_of h =
     p_p99_ns = Histogram.percentile h 99.0 }
 
 let phase_report () =
-  with_lock (fun () ->
-    Hashtbl.fold (fun k h acc -> (k, stats_of h) :: acc) phase_tbl [])
-  |> List.sort compare
+  Mutex.lock lock;
+  let hists = !phase_hists in
+  let l = ref [] in
+  Array.iteri
+    (fun ph h ->
+      if Histogram.count h > 0 then l := (name_of ph, stats_of h) :: !l)
+    hists;
+  Mutex.unlock lock;
+  List.sort compare !l
 
-let e2e_report () = with_lock (fun () -> stats_of e2e_hist)
+let e2e_report () =
+  Mutex.lock lock;
+  let s = stats_of e2e_hist in
+  Mutex.unlock lock;
+  s
 
 let phase_kvs () =
   let rows (name, s) =
@@ -492,22 +657,21 @@ let phases_json () =
     (String.concat "," (List.map field (phase_report ())))
 
 let reset_phases () =
-  with_lock (fun () ->
-    Hashtbl.reset phase_tbl;
-    Histogram.reset e2e_hist)
+  Mutex.lock lock;
+  Array.iter (fun h -> if h != no_hist then Histogram.reset h) !phase_hists;
+  Histogram.reset e2e_hist;
+  Mutex.unlock lock
 
 let reset () =
   reset_phases ();
-  (* clear buffers in place: live threads keep their TLS handle *)
-  with_lock (fun () ->
-    List.iter
-      (fun b ->
-        b.head <- [];
-        b.head_n <- 0;
-        Array.fill b.tail 0 tail_cap None;
-        b.tail_at <- 0;
-        b.slow <- [];
-        b.slow_n <- 0)
-      !registry);
-  Atomic.set mint_counter 0;
-  Atomic.set done_counter 0
+  (* clear buffers in place: live threads keep their state *)
+  Mutex.lock lock;
+  List.iter
+    (fun st ->
+      st.head_n <- 0;
+      st.tail_at <- 0;
+      st.slow_at <- 0)
+    !registry;
+  done_counter := 0;
+  Mutex.unlock lock;
+  Atomic.set mint_counter 0

@@ -1,56 +1,71 @@
-(** Keyed latency histograms: virtual-time cost per protected call and
-    per protocol operation, keyed by operation name.
+(** Keyed latency histograms — see timers.mli.
 
-    Recording is host-side only and charges no virtual time; values
-    are virtual nanoseconds measured by the caller (trampoline entry
-    to exit, executor dispatch to reply). The table is tiny (one
-    histogram per distinct operation name) and guarded by a real
-    mutex whose critical sections never perform effects, so it is
-    safe under both OS threads and the effects-based Vm. *)
+    A timer is resolved to its handle once, at the call site's module
+    initialisation; recording is then a lock and one histogram record,
+    with no lookup and no closure. The histogram itself is created on
+    the first record, so [ops] lists exactly the timers recorded since
+    the last {!reset}. The lock is a real mutex whose critical sections
+    never perform effects, so recording is safe under both OS threads
+    and the effects-based Vm. *)
+
+type t = { name : string; mutable hist : Histogram.t option }
 
 let lock = Mutex.create ()
 
-let tbl : (string, Histogram.t) Hashtbl.t = Hashtbl.create 16
+(* Every handle ever resolved, by name. *)
+let tbl : (string, t) Hashtbl.t = Hashtbl.create 32
 
-let with_lock f =
+let handle name =
   Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
+  let h =
+    match Hashtbl.find_opt tbl name with
+    | Some h -> h
+    | None ->
+      let h = { name; hist = None } in
+      Hashtbl.add tbl name h;
+      h
+  in
+  Mutex.unlock lock;
+  h
 
-let record ~op ns =
-  if Control.on () then
-    with_lock (fun () ->
-      let h =
-        match Hashtbl.find_opt tbl op with
-        | Some h -> h
-        | None ->
-          let h = Histogram.create () in
-          Hashtbl.add tbl op h;
-          h
-      in
-      Histogram.record h (max ns 0))
+let record h v =
+  if Control.on () then begin
+    Mutex.lock lock;
+    (match h.hist with
+     | Some hist -> Histogram.record hist (Int.max v 0)
+     | None ->
+       let hist = Histogram.create () in
+       Histogram.record hist (Int.max v 0);
+       h.hist <- Some hist);
+    Mutex.unlock lock
+  end
 
-(** Merged copy of one operation's histogram, if it has been seen. *)
-let get op =
-  with_lock (fun () ->
-    match Hashtbl.find_opt tbl op with
-    | None -> None
-    | Some h ->
-      let c = Histogram.create () in
-      Histogram.merge ~into:c h;
-      Some c)
+let recorded () =
+  Mutex.lock lock;
+  let l =
+    Hashtbl.fold
+      (fun name h acc ->
+        match h.hist with
+        | Some hist when Histogram.count hist > 0 ->
+          let c = Histogram.create () in
+          Histogram.merge ~into:c hist;
+          (name, c) :: acc
+        | Some _ | None -> acc)
+      tbl []
+  in
+  Mutex.unlock lock;
+  List.sort (fun (a, _) (b, _) -> compare a b) l
 
-let ops () =
-  with_lock (fun () ->
-    List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) tbl []))
+let get name = List.assoc_opt name (recorded ())
 
-(** Stats-style dump: for each operation, count/mean/p50/p99/max. *)
+let ops () = List.map fst (recorded ())
+
 let kvs () =
-  let names = ops () in
-  List.concat_map
-    (fun op ->
-      match get op with
-      | None -> []
-      | Some h -> Histogram.kvs ~prefix:op h)
-    names
+  List.concat_map (fun (name, h) -> Histogram.kvs ~prefix:name h) (recorded ())
 
-let reset () = with_lock (fun () -> Hashtbl.reset tbl)
+let reset () =
+  Mutex.lock lock;
+  Hashtbl.iter
+    (fun _ h -> Option.iter Histogram.reset h.hist)
+    tbl;
+  Mutex.unlock lock

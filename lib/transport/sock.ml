@@ -408,7 +408,7 @@ module Make (S : Platform.Sync_intf.S) = struct
            msgs;
          if msgs <> [] then begin
            C.incr C.Id.ring_drains;
-           C.add ~n:(List.length msgs) C.Id.ring_drain_ops
+           C.add C.Id.ring_drain_ops (List.length msgs)
          end;
          Ok msgs
        | Error _ as e -> e)

@@ -56,6 +56,12 @@ module Make (S : Platform.Sync_intf.S) = struct
     mutable misses : int;
   }
 
+  let read_phase = Telemetry.Span.phase "ycsb.read"
+
+  let update_phase = Telemetry.Span.phase "ycsb.update"
+
+  let batch_phase = Telemetry.Span.phase "ycsb.batch"
+
   let client_body (w : Workload.t) (db : db) ~tid ~ops (tr : thread_result) =
     let rng = Rng.create (w.Workload.seed + (7919 * tid)) in
     let choose = Workload.chooser w rng in
@@ -67,10 +73,9 @@ module Make (S : Platform.Sync_intf.S) = struct
          the driver saw it. *)
       let root =
         Telemetry.Span.ingress
-          ~op:(match op with
-               | Workload.Read _ -> "ycsb.read"
-               | Workload.Update _ -> "ycsb.update")
-          ()
+          (match op with
+           | Workload.Read _ -> read_phase
+           | Workload.Update _ -> update_phase)
       in
       (match op with
        | Workload.Read key ->
@@ -103,7 +108,7 @@ module Make (S : Platform.Sync_intf.S) = struct
         pending := [];
         npending := 0;
         let t0 = S.now_ns () in
-        let root = Telemetry.Span.ingress ~op:"ycsb.batch" () in
+        let root = Telemetry.Span.ingress batch_phase in
         let oks = db.b_run batch_ops in
         Telemetry.Span.finish root;
         let dt = (S.now_ns () - t0) / n in

@@ -1147,7 +1147,7 @@ let torn_after ~publish_last ~at =
       ignore
         (Vm.spawn vm ~name:"w" (fun () ->
            Telemetry.Flight.record Telemetry.Flight.Op_dispatch ~a:3 ~b:1 ~c:7;
-           Telemetry.Flight.record Telemetry.Flight.Tenant_scope ~a:2;
+           Telemetry.Flight.record Telemetry.Flight.Tenant_scope ~a:2 ~b:0 ~c:0;
            Vm.Sync.advance 10));
       Vm.run vm;
       let n = Vm.sync_points_seen vm in

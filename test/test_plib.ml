@@ -471,6 +471,46 @@ let test_ring_connect_refused_acceptor_survives () =
     ring_roundtrip next "after-refusal";
     VCl.Plib.stop_remote srv)
 
+(* Releasing a library detaches the process-wide hooks pointing into
+   its heap (the counter and flight-recorder backends, the tenant and
+   executor hooks, the quota gate): a released heap is collectable at
+   once, not only after the next [create] replaces them. *)
+let[@inline never] create_and_release_in_vm n ~collected =
+  let vm = Vm.create () in
+  ignore
+    (Vm.spawn vm ~name:"cycles" (fun () ->
+       for i = 1 to n do
+         let owner = Process.make ~uid:1000 "bk-release" in
+         let path = Printf.sprintf "/shm/plib-release-%d" i in
+         let plib = VCl.Plib.create ~path ~size:(4 lsl 20) ~owner () in
+         Gc.finalise (fun _ -> incr collected) (VCl.Plib.region plib);
+         assert (VCl.Plib.set plib "k" "v" = Store.Stored);
+         assert (VCl.Plib.get plib "k" <> None);
+         Simos.Sim_fs.unlink path;
+         Hodor.Library.release (VCl.Plib.library plib)
+       done));
+  Vm.run vm
+
+let test_release_frees_heap () =
+  let collected = ref 0 in
+  create_and_release_in_vm 4 ~collected;
+  Gc.full_major ();
+  Alcotest.(check int) "every released region was collected" 4 !collected
+
+(* Only hooks still pointing at the released handle are detached: a
+   handle created since keeps its own. *)
+let test_release_keeps_other_handles_hooks () =
+  with_plib (fun older ~owner:_ ->
+    with_plib (fun newer ~owner:_ ->
+      ignore (Plib.set newer "k" "v");
+      Hodor.Library.release (Plib.library older);
+      Alcotest.(check bool) "counters still read the live heap" true
+        (Telemetry.Counters.read Telemetry.Counters.Id.hodor_enter > 0);
+      Alcotest.(check bool) "stats heap still served" true
+        (!Mc_server.Executor.heap_stats_hook () <> []);
+      Alcotest.(check bool) "quota gate still installed" true
+        (!Mc_server.Executor.quota_gate <> None)))
+
 let () =
   Alcotest.run "plib"
     [ ( "operation",
@@ -495,7 +535,11 @@ let () =
         [ Alcotest.test_case "shutdown/restart" `Quick
             test_shutdown_restart_preserves_data;
           Alcotest.test_case "cleaner watermark" `Quick
-            test_maintain_enforces_watermark ] );
+            test_maintain_enforces_watermark;
+          Alcotest.test_case "release frees the heap" `Quick
+            test_release_frees_heap;
+          Alcotest.test_case "release keeps another handle's hooks" `Quick
+            test_release_keeps_other_handles_hooks ] );
       ( "full heap",
         [ Alcotest.test_case "copy-in evicts" `Quick
             test_copy_in_evicts_on_full_heap;

@@ -44,17 +44,17 @@ let sum_self tr = List.fold_left (fun a (_, s) -> a + s) 0 (Span.self_times tr)
 let test_tree_shape () =
   fresh ();
   with_clock (fun t ->
-    let root = Span.ingress ~op:"op" () in
+    let root = Span.ingress (Span.phase "op") in
     Alcotest.(check bool) "trace in flight" true (Span.active ());
     t := 10;
-    let a = Span.start ~phase:"a" () in
+    let a = Span.start (Span.phase "a") in
     t := 20;
-    let b = Span.start ~phase:"b" () in
+    let b = Span.start (Span.phase "b") in
     t := 30;
     Span.finish b;
     t := 45;
     Span.finish a;
-    let c = Span.start ~phase:"c" () in
+    let c = Span.start (Span.phase "c") in
     t := 60;
     Span.finish c;
     t := 100;
@@ -93,8 +93,8 @@ let test_tree_shape () =
 
 let test_nested_ingress_degrades () =
   fresh ();
-  let outer = Span.ingress ~op:"outer" () in
-  let inner = Span.ingress ~op:"inner" () in
+  let outer = Span.ingress (Span.phase "outer") in
+  let inner = Span.ingress (Span.phase "inner") in
   Span.finish inner;
   Span.finish outer;
   match Span.traces () with
@@ -110,20 +110,20 @@ let test_sampling () =
   fresh ();
   Span.set_sampling 2;
   for _ = 1 to 10 do
-    Span.finish (Span.ingress ~op:"s" ())
+    Span.finish (Span.ingress (Span.phase "s"))
   done;
   Alcotest.(check int) "1-in-2 keeps half" 5 (List.length (Span.traces ()));
   (* burn the next sampled slot (n=10) so "u" draws an unsampled ticket *)
-  Span.finish (Span.ingress ~op:"s" ());
+  Span.finish (Span.ingress (Span.phase "s"));
   (* an unsampled trace still tracks liveness but starts no children *)
-  let r = Span.ingress ~op:"u" () in
+  let r = Span.ingress (Span.phase "u") in
   Alcotest.(check bool) "unsampled trace is live" true (Span.active ());
   Alcotest.(check bool) "no child spans under it" true
-    (Span.start ~phase:"x" () = Span.null);
+    (Span.start (Span.phase "x") = Span.null);
   Span.finish r;
   Span.set_sampling 0;
   Alcotest.(check bool) "sampling 0 mints nothing" true
-    (Span.ingress ~op:"z" () = Span.null);
+    (Span.ingress (Span.phase "z") = Span.null);
   Alcotest.(check bool) "nothing in flight" false (Span.active ())
 
 let test_slow_log () =
@@ -133,10 +133,10 @@ let test_slow_log () =
     (* trace 0 is always sampled (0 mod n = 0); burn it fast, then let
        the unsampled trace 1 run slow *)
     Span.set_sampling 1_000_000;
-    Span.finish (Span.ingress ~op:"fast" ());
-    let r = Span.ingress ~op:"slow-op" () in
+    Span.finish (Span.ingress (Span.phase "fast"));
+    let r = Span.ingress (Span.phase "slow-op") in
     Alcotest.(check bool) "child start is null while unsampled" true
-      (Span.start ~phase:"x" () = Span.null);
+      (Span.start (Span.phase "x") = Span.null);
     t := !t + 100;
     Span.finish r;
     match Span.slow_traces () with
@@ -156,14 +156,14 @@ let test_slow_log () =
 let test_drop_semantics () =
   fresh ();
   (* dropped root: the whole trace vanishes *)
-  let r = Span.ingress ~op:"doomed" () in
+  let r = Span.ingress (Span.phase "doomed") in
   Span.drop r;
   Alcotest.(check int) "dropped root buffers nothing" 0
     (List.length (Span.traces ()));
   Alcotest.(check bool) "nothing in flight" false (Span.active ());
   (* dropped child: flagged aborted, trace survives *)
-  let r = Span.ingress ~op:"kept" () in
-  let c = Span.start ~phase:"bad" () in
+  let r = Span.ingress (Span.phase "kept") in
+  let c = Span.start (Span.phase "bad") in
   Span.drop c;
   Span.finish r;
   match Span.traces () with
@@ -181,9 +181,9 @@ let test_attribution_sums_to_e2e () =
   fresh ();
   with_clock (fun t ->
     for i = 1 to 20 do
-      let r = Span.ingress ~op:"op" () in
+      let r = Span.ingress (Span.phase "op") in
       t := !t + i;
-      let a = Span.start ~phase:"a" () in
+      let a = Span.start (Span.phase "a") in
       t := !t + (3 * i);
       Span.finish a;
       t := !t + 7;

@@ -28,7 +28,7 @@ let test_counters_basic () =
   fresh ();
   Alcotest.(check int) "starts at zero" 0 (C.read C.Id.get_hits);
   C.incr C.Id.get_hits;
-  C.add ~n:41 C.Id.get_hits;
+  C.add C.Id.get_hits 41;
   Alcotest.(check int) "accumulates" 42 (C.read C.Id.get_hits);
   Alcotest.(check int) "others untouched" 0 (C.read C.Id.get_misses);
   C.reset ();
@@ -55,9 +55,9 @@ let test_counters_striped_across_vm_threads () =
 
 let test_counters_toggle_off () =
   fresh ();
-  C.add ~n:5 C.Id.pku_faults;
+  C.add C.Id.pku_faults 5;
   Telemetry.Control.set_enabled false;
-  C.add ~n:100 C.Id.pku_faults;
+  C.add C.Id.pku_faults 100;
   (* reads are not gated: a snapshot after switch-off still sees the
      counts recorded while on *)
   Alcotest.(check int) "off means no bumps, reads survive" 5
@@ -142,8 +142,9 @@ let test_histogram_percentile_edges () =
 
 let test_timers () =
   fresh ();
-  List.iter (fun v -> Telemetry.Timers.record ~op:"get" v) [ 50; 60; 70 ];
-  Telemetry.Timers.record ~op:"set" 500;
+  let get = Telemetry.Timers.handle "get" in
+  List.iter (Telemetry.Timers.record get) [ 50; 60; 70 ];
+  Telemetry.Timers.record (Telemetry.Timers.handle "set") 500;
   Alcotest.(check (list string)) "ops sorted" [ "get"; "set" ]
     (Telemetry.Timers.ops ());
   (match Telemetry.Timers.get "get" with
@@ -152,7 +153,7 @@ let test_timers () =
   Alcotest.(check bool) "kvs carries per-op summaries" true
     (List.mem_assoc "set:count" (Telemetry.Timers.kvs ()));
   Telemetry.Control.set_enabled false;
-  Telemetry.Timers.record ~op:"get" 999_999;
+  Telemetry.Timers.record get 999_999;
   Telemetry.Control.set_enabled true;
   (match Telemetry.Timers.get "get" with
    | Some h -> Alcotest.(check int) "off means no samples" 3 (H.count h)
@@ -575,7 +576,7 @@ let test_forensics_classifier_arms () =
   let r = F.analyze () in
   Alcotest.(check bool) "empty ring classifies idle" true
     (r.F.f_class = F.Idle);
-  Fl.record Fl.Cross_enter ~a:1;
+  Fl.record Fl.Cross_enter ~a:1 ~b:0 ~c:0;
   Fl.record Fl.Op_dispatch ~a:2 ~b:(-1) ~c:5;
   Fl.note_death ();
   let r = F.analyze () in
@@ -589,16 +590,16 @@ let test_forensics_classifier_arms () =
     (r.F.f_class = F.Mid_ring_drain);
   Alcotest.(check int) "drain connection named" 7 r.F.f_conn;
   Alcotest.(check int) "drain window named" 12 r.F.f_msgs;
-  Fl.record Fl.Stripe_acquire ~a:1 ~b:3;
+  Fl.record Fl.Stripe_acquire ~a:1 ~b:3 ~c:0;
   let r = F.analyze () in
   Alcotest.(check bool) "held stripe outranks the drain" true
     (r.F.f_class = F.Holding_stripes);
   Alcotest.(check (list int)) "held stripe named" [ 3 ] r.F.f_stripes;
   Alcotest.(check bool) "report is well-formed" true (F.well_formed r);
   (* Balance everything: the lane's story returns to idle. *)
-  Fl.record Fl.Stripe_release ~a:0 ~b:3;
+  Fl.record Fl.Stripe_release ~a:0 ~b:3 ~c:0;
   Fl.record Fl.Ring_drain_end ~a:0 ~b:7 ~c:12;
-  Fl.record Fl.Cross_exit ~a:0;
+  Fl.record Fl.Cross_exit ~a:0 ~b:0 ~c:0;
   Fl.clear_victim ();
   let r = F.analyze () in
   Alcotest.(check bool) "balanced lane classifies idle" true
